@@ -5,8 +5,10 @@ infected at the start of the round is removed with probability gamma, and
 every susceptible plant j is infected with probability
 1 - prod_i (1 - min(1, beta0 / d_ij)) over the start-of-round infected i
 within the cutoff radius. Pairs with infection probability below epsilon_p
-are skipped (cutoff radius beta0 / epsilon_p), which is what makes the
-spatial index effective.
+are skipped (cutoff radius beta0 / epsilon_p); the cutoff is an exact
+distance mask, applied only when it is shorter than the field diagonal.
+The pressure sum runs over susceptible targets only, so one round costs
+O(I * S) pair evaluations for I infected and S susceptible plants.
 
 The RNG consumption order is part of the engine contract so trajectories
 are reproducible: first one removal draw per start-of-round infected plant
@@ -153,6 +155,36 @@ def place_initial_infected(
     return np.sort(rng.choice(grid.count, size=k, replace=False).astype(np.int64))
 
 
+def _survival(
+    grid: PlantGrid,
+    targets: np.ndarray,
+    infected: np.ndarray,
+    beta0: float,
+    cutoff: float,
+) -> np.ndarray:
+    """prod_i (1 - min(1, beta0 / d_ij)) for each target j over the
+    infected i within the cutoff; exactly 1.0 where no pair reaches j."""
+    xs = grid.positions[targets, 0]
+    ys = grid.positions[targets, 1]
+    survival = np.ones(targets.size)
+    dist = np.empty_like(survival)
+    keep = np.empty_like(survival)  # scratch; each pass ends with 1 - p in it
+    truncating = cutoff < grid.span_m
+    # Infected plants in ascending order, so each target's product is
+    # formed in the same order as a sum over all plants would form it.
+    for x, y in grid.positions[infected]:
+        np.subtract(xs, x, out=dist)
+        np.subtract(ys, y, out=keep)
+        np.hypot(dist, keep, out=dist)
+        np.divide(beta0, dist, out=keep)
+        np.minimum(1.0, keep, out=keep)
+        if truncating:
+            np.copyto(keep, 0.0, where=dist > cutoff)
+        np.subtract(1.0, keep, out=keep)
+        survival *= keep
+    return survival
+
+
 def _draw_infections(
     grid: PlantGrid,
     status: np.ndarray,
@@ -163,21 +195,16 @@ def _draw_infections(
 ) -> np.ndarray:
     if infected.size == 0 or params.beta0 <= 0.0:
         return np.empty(0, dtype=np.int64)
+    susceptible = np.flatnonzero(status == Status.SUSCEPTIBLE)
+    if susceptible.size == 0:
+        return susceptible
     cutoff = params.beta0 / epsilon_p if epsilon_p > 0 else math.inf
-    survival = np.ones(grid.count)
-    touched = np.zeros(grid.count, dtype=bool)
-    for i in infected:
-        idx, dist = grid.neighbor_arrays(int(i), cutoff)
-        if idx.size == 0:
-            continue
-        p = np.minimum(1.0, params.beta0 / dist)
-        survival[idx] *= 1.0 - p
-        touched[idx] = True
-    at_risk = touched & (status == Status.SUSCEPTIBLE) & (survival < 1.0)
-    candidates = np.flatnonzero(at_risk)  # ascending: fixes the draw order
+    survival = _survival(grid, susceptible, infected, params.beta0, cutoff)
+    at_risk = survival < 1.0
+    candidates = susceptible[at_risk]  # ascending: fixes the draw order
     if candidates.size == 0:
         return candidates
-    return candidates[rng.random(candidates.size) < 1.0 - survival[candidates]]
+    return candidates[rng.random(candidates.size) < 1.0 - survival[at_risk]]
 
 
 def step(
@@ -258,8 +285,7 @@ def run(
         return _died_early_result(scenario, n)
 
     rng = np.random.default_rng(scenario.rng_seed)
-    cutoff = pathogen.beta0 / epsilon_p if pathogen.beta0 > 0 and epsilon_p > 0 else None
-    grid = layout_grid(field, strategy, scenario.explicit_count, cutoff_radius_m=cutoff)
+    grid = layout_grid(field, strategy, scenario.explicit_count)
     initial = place_initial_infected(
         grid, pathogen.initial_infected, scenario.placement_mode, rng
     )

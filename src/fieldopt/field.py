@@ -1,14 +1,15 @@
-"""Plant lattice layout and a uniform-grid spatial index for neighbor queries.
+"""Plant lattice layout and exact radius neighbor queries.
 
 Plants sit on a rectangular lattice: position (i * dx, j * dy) for
 i in [0, floor(W/dx)], j in [0, floor(H/dy)], stored row-major with the
 x index outermost. Both boundary rows are included (a plant at coordinate
 0 and at floor(W/dx) * dx <= W are both inside the field).
 
-The spatial index buckets plants into square cells keyed by integer cell
-coordinates; `neighbors_within` scans only the cells overlapping the query
-disk and then filters by exact Euclidean distance, so results are identical
-to a brute-force all-pairs scan.
+There is no spatial index. At the paper's parameters the infection cutoff
+beta0 / epsilon_p is 3 km, far beyond any field diagonal, so an index
+would prune nothing. `neighbors_within` scans all positions and filters
+by exact Euclidean distance; it is the test oracle for the engine's
+infection kernel.
 """
 
 from __future__ import annotations
@@ -44,77 +45,35 @@ def lattice_capacity(field: FieldSpec, strategy: SeedingStrategy) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PlantGrid:
-    """Immutable plant positions plus the cell index for neighbor queries."""
+    """Immutable plant positions."""
 
     positions: np.ndarray  # (count, 2) float64, row-major lattice order
     count: int
-    cutoff_radius_m: float
-    cell_size_m: float
-    cell_stride: int
-    cells: dict  # int cell key -> np.ndarray of plant indices (ascending)
-    span_m: float  # diagonal of the occupied bounding box (max pair distance)
+    span_m: float  # diagonal of the occupied bounding box: no pair is farther
 
     def neighbor_arrays(self, index: int, radius_m: float):
-        """Indices and exact distances of plants within radius_m of plant
-        `index` (self excluded). Fast path used by the epidemic engine;
-        the index order follows cell-scan order, not plant order."""
+        """Indices (ascending) and exact distances of plants within
+        radius_m of plant `index` (self excluded), by a scan over all
+        positions."""
         if not 0 <= index < self.count:
             raise IndexError(f"plant index {index} out of range [0, {self.count})")
-        if radius_m <= 0:
-            empty = np.empty(0)
-            return empty.astype(np.int64), empty
-        # No pair is farther apart than the bounding-box diagonal, so huge
-        # (even infinite) cutoffs reduce to a full scan with finite cell math.
-        radius_m = min(radius_m, self.span_m)
         x, y = self.positions[index]
-        cell = self.cell_size_m
-        cx0 = max(int((x - radius_m) // cell), 0)
-        cx1 = int((x + radius_m) // cell)
-        cy0 = max(int((y - radius_m) // cell), 0)
-        cy1 = int((y + radius_m) // cell)
-        chunks = []
-        for cx in range(cx0, cx1 + 1):
-            base = cx * self.cell_stride
-            for cy in range(cy0, cy1 + 1):
-                hit = self.cells.get(base + cy)
-                if hit is not None:
-                    chunks.append(hit)
-        if not chunks:
-            empty = np.empty(0)
-            return empty.astype(np.int64), empty
-        cand = np.concatenate(chunks)
-        dx = self.positions[cand, 0] - x
-        dy = self.positions[cand, 1] - y
-        dist = np.hypot(dx, dy)
-        keep = (dist <= radius_m) & (cand != index)
-        return cand[keep], dist[keep]
-
-
-def _build_cells(positions: np.ndarray, cell_size: float):
-    cx = (positions[:, 0] // cell_size).astype(np.int64)
-    cy = (positions[:, 1] // cell_size).astype(np.int64)
-    stride = int(cy.max()) + 2 if len(cy) else 1
-    keys = cx * stride + cy
-    order = np.argsort(keys, kind="stable")
-    uniq, starts = np.unique(keys[order], return_index=True)
-    bounds = np.append(starts, len(order))
-    cells = {
-        int(key): order[starts[i] : bounds[i + 1]] for i, key in enumerate(uniq)
-    }
-    return cells, stride
+        dist = np.hypot(self.positions[:, 0] - x, self.positions[:, 1] - y)
+        keep = dist <= radius_m
+        keep[index] = False
+        idx = np.flatnonzero(keep)
+        return idx, dist[idx]
 
 
 def layout_grid(
     field: FieldSpec,
     strategy: SeedingStrategy,
     explicit_count: int | None = None,
-    cutoff_radius_m: float | None = None,
 ) -> PlantGrid:
     """Materialize the planting lattice for a field and spacing.
 
     explicit_count keeps only the first explicit_count positions in
-    row-major order. cutoff_radius_m sizes the spatial-index cells; it
-    defaults to the field diagonal (every pair reachable).
+    row-major order.
     """
     nx, ny = lattice_shape(field, strategy)
     capacity = nx * ny
@@ -135,29 +94,10 @@ def layout_grid(
     positions[:, 1] = np.tile(ys, nx)
     if explicit_count is not None:
         positions = positions[:explicit_count]
-    count = len(positions)
-
-    diagonal = math.hypot(field.width_m, field.height_m)
-    if cutoff_radius_m is None:
-        cutoff_radius_m = diagonal
-    # Cell size only affects query speed, never results: small cutoffs get
-    # matching cells, huge cutoffs degrade gracefully to a coarse grid.
-    max_dim = max(field.width_m, field.height_m)
-    cell_size = min(max(cutoff_radius_m, max_dim / 64.0), max_dim)
-    cells, stride = _build_cells(positions, cell_size)
-    span = math.hypot(
-        float(positions[:, 0].max() - positions[:, 0].min()),
-        float(positions[:, 1].max() - positions[:, 1].min()),
-    )
-    return PlantGrid(
-        positions=positions,
-        count=count,
-        cutoff_radius_m=cutoff_radius_m,
-        cell_size_m=cell_size,
-        cell_stride=stride,
-        cells=cells,
-        span_m=span,
-    )
+    # np.hypot, as for pair distances, so no pair distance exceeds span_m.
+    extent = positions.max(axis=0) - positions.min(axis=0)
+    span = float(np.hypot(extent[0], extent[1]))
+    return PlantGrid(positions=positions, count=len(positions), span_m=span)
 
 
 def spacing_from_count(field: FieldSpec, n: int) -> SeedingStrategy:
@@ -182,5 +122,4 @@ def neighbors_within(
     if radius_m <= 0:
         raise ValidationError("invariant violated: radius_m > 0")
     idx, dist = grid.neighbor_arrays(index, radius_m)
-    order = np.argsort(idx)
-    return [(int(i), float(d)) for i, d in zip(idx[order], dist[order])]
+    return [(int(i), float(d)) for i, d in zip(idx, dist)]

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import fit_plane, paired_t_test
+from .analytics import _mean_std, fit_plane, paired_t_test
 from .epidemic import run
 from .field import spacing_from_count
 from .optimizer import ScoreMode, SearchMethod, compare_strategies, optimize
@@ -154,14 +154,6 @@ def _write_csv(out_dir, name: str, fieldnames: list[str], rows: list[dict]) -> P
         for row in rows:
             writer.writerow([_fmt(row.get(key)) for key in fieldnames])
     return path
-
-
-def _mean_std(values) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    if n == 1:
-        return mean, 0.0
-    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
 
 
 BASELINE_FIELDS = ["t", "size_label", "mean_r0", "std_r0", "mean_profit", "std_profit"]

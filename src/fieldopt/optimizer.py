@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import paired_t_test
+from .analytics import _mean_std, paired_t_test
 from .epidemic import run
 from .scenario import (
     FieldSpec,
@@ -80,15 +80,6 @@ def enumerate_candidates(field: FieldSpec, delta: float) -> list[SeedingStrategy
         for dx in axis(field.width_m)
         for dy in axis(field.height_m)
     ]
-
-
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    if n == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var)
 
 
 def select_best(evaluations: Sequence[CandidateEvaluation]) -> CandidateEvaluation:

@@ -47,6 +47,8 @@ class FieldSpec:
     min_spacing_m: float = 0.1
 
     def __post_init__(self):
+        for name in ("width_m", "height_m", "min_spacing_m"):
+            _require(math.isfinite(getattr(self, name)), f"{name} is finite")
         _require(self.width_m > 0, "width_m > 0")
         _require(self.height_m > 0, "height_m > 0")
         _require(self.min_spacing_m > 0, "min_spacing_m > 0")
@@ -174,11 +176,15 @@ _INT_KEYS = {"initial_infected", "horizon_steps", "rng_seed", "explicit_count"}
 
 
 def _parse_float(text: str) -> float:
-    # Accepts plain literals and simple fractions ("1/42") for rates.
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return float(num) / float(den)
-    return float(text)
+    """Plain literals and simple fractions ("1/42") for rates; any bad
+    literal, a zero denominator included, raises ScenarioParseError."""
+    try:
+        if "/" in text:
+            num, _, den = text.partition("/")
+            return float(num) / float(den)
+        return float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioParseError(f"bad number: {text!r}") from exc
 
 
 def _coerce(key: str, text: str):
@@ -189,7 +195,7 @@ def _coerce(key: str, text: str):
         if key in _INT_KEYS:
             return int(text)
         return _parse_float(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ScenarioParseError(f"bad value for {key!r}: {text!r}") from exc
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fieldopt import write_scenario, scenario_default
@@ -203,3 +208,24 @@ def test_jobs_flag_does_not_change_baseline(tmp_path, capsys):
     assert (tmp_path / "par" / "baseline.csv").read_bytes() == (
         tmp_path / "ser" / "baseline.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-pathogen", "--gamma-values", "1/0"],
+        ["simulate", "--set", "field.width_m=inf"],
+    ],
+)
+def test_bad_numbers_exit_1_without_traceback(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldopt.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr

@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldopt import epidemic
 from fieldopt import (
     EpidemicTrajectory,
     FieldSpec,
@@ -313,6 +315,148 @@ def test_truncating_cutoff_matches_all_pairs_in_expectation():
     stderr = np.std(diffs, ddof=1) / math.sqrt(len(diffs))
     budget = 49 * 5e-4 * 3  # N * epsilon_p * (T - 1)
     assert abs(mean_diff) <= budget + 3 * stderr
+
+
+# -- the infection kernel against the all-plants reference -------------------
+
+
+def _reference_survival(grid, infected, beta0, cutoff):
+    """The pressure product over all plants, one neighbor query per
+    infected plant, and which plants any pair reached."""
+    survival = np.ones(grid.count)
+    touched = np.zeros(grid.count, dtype=bool)
+    for i in infected:
+        idx, dist = grid.neighbor_arrays(int(i), cutoff)
+        survival[idx] *= 1.0 - np.minimum(1.0, beta0 / dist)
+        touched[idx] = True
+    return survival, touched
+
+
+def _reference_draw_infections(grid, status, infected, params, rng, epsilon_p):
+    """Infection draws from the all-plants reference: the engine's kernel
+    must reproduce them draw for draw."""
+    if infected.size == 0 or params.beta0 <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    cutoff = params.beta0 / epsilon_p if epsilon_p > 0 else math.inf
+    survival, touched = _reference_survival(grid, infected, params.beta0, cutoff)
+    at_risk = touched & (status == Status.SUSCEPTIBLE) & (survival < 1.0)
+    candidates = np.flatnonzero(at_risk)
+    if candidates.size == 0:
+        return candidates
+    return candidates[rng.random(candidates.size) < 1.0 - survival[candidates]]
+
+
+def _random_states(count, round_index, seed):
+    """Mixed S/I/R population with infection rounds consistent with status."""
+    pick = np.random.default_rng(seed)
+    states = PlantStates(count)
+    states.status[:] = pick.choice(3, size=count, p=[0.6, 0.25, 0.15])
+    ever = states.status != Status.SUSCEPTIBLE
+    states.infected_at[ever] = pick.integers(1, round_index + 1, size=int(ever.sum()))
+    return states
+
+
+def _assert_kernel_matches_reference(grid, states, params, seed, round_index, **options):
+    susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
+    infected = np.flatnonzero(states.status == Status.INFECTED)
+    eps = options["epsilon_p"]
+    cutoff = params.beta0 / eps if eps > 0 else math.inf
+    if params.beta0 > 0:
+        survival = epidemic._survival(grid, susceptible, infected, params.beta0, cutoff)
+        reference, _ = _reference_survival(grid, infected, params.beta0, cutoff)
+        assert np.array_equal(survival, reference[susceptible])  # bit for bit
+
+    fast, slow = states.copy(), states.copy()
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    step(grid, fast, params, fast_rng, round_index, **options)
+    with mock.patch.object(epidemic, "_draw_infections", _reference_draw_infections):
+        step(grid, slow, params, slow_rng, round_index, **options)
+    assert np.array_equal(fast.status, slow.status)
+    assert np.array_equal(fast.infected_at, slow.infected_at)
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+kernel_cases = st.fixed_dictionaries(
+    {
+        "width": st.floats(0.5, 6.0),
+        "height": st.floats(0.5, 6.0),
+        "dx": st.floats(0.2, 1.0),
+        "dy": st.floats(0.2, 1.0),
+        # small rates, and rates at or above the spacing (p = 1 pairs)
+        "beta0": st.one_of(st.floats(0.0, 0.01), st.floats(0.2, 1.0)),
+        "gamma": st.floats(0.01, 1.0),
+        "epsilon_p": st.one_of(
+            st.sampled_from([1e-6, 5e-4, 0.0]), st.floats(1e-3, 0.5)
+        ),
+        "deterministic_duration": st.booleans(),
+        "round_index": st.integers(1, 8),
+        "seed": st.integers(0, 2**32),
+    }
+)
+
+
+@settings(max_examples=150)
+@given(kernel_cases)
+def test_kernel_matches_reference_step(case):
+    grid = layout_grid(
+        FieldSpec(width_m=case["width"], height_m=case["height"]),
+        SeedingStrategy(dx_m=case["dx"], dy_m=case["dy"]),
+    )
+    states = _random_states(grid.count, case["round_index"], case["seed"])
+    params = PathogenParams(beta0=case["beta0"], gamma=case["gamma"])
+    _assert_kernel_matches_reference(
+        grid,
+        states,
+        params,
+        case["seed"],
+        case["round_index"],
+        epsilon_p=case["epsilon_p"],
+        deterministic_duration=case["deterministic_duration"],
+    )
+
+
+@pytest.mark.parametrize(
+    "beta0, epsilon_p, deterministic_duration, truncates",
+    [
+        (0.6, 1e-6, False, False),  # beta0 >= spacing: p = 1 pairs
+        (0.003, 5e-4, False, True),  # cutoff 6 m < 8.49 m diagonal
+        (0.002, 1e-3, False, True),  # cutoff exactly 2 m, a lattice distance
+        (0.003, 0.0, False, False),  # no cutoff
+        (0.05, 1e-6, True, False),  # fixed infectious period, no removal draws
+    ],
+)
+def test_kernel_matches_reference_step_cases(
+    beta0, epsilon_p, deterministic_duration, truncates
+):
+    grid = layout_grid(FieldSpec(6.0, 6.0), SeedingStrategy(0.5, 0.5))
+    assert (epsilon_p > 0 and beta0 / epsilon_p < grid.span_m) == truncates
+    params = PathogenParams(beta0=beta0, gamma=0.2)
+    for seed in range(5):
+        states = _random_states(grid.count, 3, seed)
+        _assert_kernel_matches_reference(
+            grid,
+            states,
+            params,
+            seed,
+            3,
+            epsilon_p=epsilon_p,
+            deterministic_duration=deterministic_duration,
+        )
+
+
+def test_round_without_susceptibles_draws_only_removals():
+    grid = layout_grid(FieldSpec(2, 2), SeedingStrategy(0.5, 0.5))
+    infected = np.arange(0, grid.count, 2)
+    states = PlantStates(grid.count)
+    states.infect(infected, 1)
+    states.status[1::2] = Status.REMOVED
+    params = PathogenParams(beta0=0.8, gamma=0.3)
+    rng = np.random.default_rng(4)
+    step(grid, states, params, rng, round_index=1)
+
+    replay = np.random.default_rng(4)
+    replay.random(infected.size)  # the removal draws
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 # -- trajectory invariants are enforced at construction -----------------------

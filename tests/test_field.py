@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fieldopt import (
@@ -137,13 +137,27 @@ def test_neighbors_match_brute_force(width, height, dx, dy, radius, probe):
     assert neighbors_within(grid, index, radius) == _brute_force(grid, index, radius)
 
 
-@given(st.floats(0.05, 500.0))
-def test_neighbors_independent_of_cell_sizing_hint(cutoff):
-    field = FieldSpec(3, 3)
-    strategy = SeedingStrategy(0.3, 0.3)
-    hinted = layout_grid(field, strategy, cutoff_radius_m=cutoff)
-    default = layout_grid(field, strategy)
-    for index in (0, 37, 60):
-        assert neighbors_within(hinted, index, 0.75) == neighbors_within(
-            default, index, 0.75
-        )
+@settings(max_examples=60)
+@given(
+    st.floats(0.5, 6.0),
+    st.floats(0.5, 6.0),
+    st.floats(0.1, 1.0),
+    st.floats(0.1, 1.0),
+    st.integers(0, 10**9),
+)
+# math.hypot(8.64, 2.9) rounds one ulp below np.hypot(8.64, 2.9)
+@example(8.64, 2.9, 8.64, 2.9, 0)
+def test_span_bounds_every_pair_distance(width, height, dx, dy, probe):
+    # The infection kernel skips its cutoff mask when the cutoff is at least
+    # span_m, which is exact only if no pair distance exceeds span_m.
+    grid = layout_grid(FieldSpec(width_m=width, height_m=height), SeedingStrategy(dx, dy))
+    index = probe % grid.count
+    corner = grid.count - 1
+    for i in (0, index, corner):
+        idx, dist = grid.neighbor_arrays(i, np.inf)
+        assert np.array_equal(idx, np.delete(np.arange(grid.count), i))
+        assert dist.size == 0 or dist.max() <= grid.span_m
+    if grid.count > 1:
+        far = grid.neighbor_arrays(0, np.inf)[1][-1]  # plant 0 to the last corner
+        assert far == grid.span_m
+

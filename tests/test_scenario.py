@@ -65,6 +65,13 @@ def test_invariant_rejections(build):
         build()
 
 
+@pytest.mark.parametrize("name", ["width_m", "height_m", "min_spacing_m"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_field_dimensions_must_be_finite(name, value):
+    with pytest.raises(ValidationError, match=f"{name} is finite"):
+        FieldSpec(**{name: value})
+
+
 def test_explicit_count_must_fit_capacity():
     field = FieldSpec(width_m=1.0, height_m=1.0)
     # 6x6 lattice at 0.2 m: capacity 36
