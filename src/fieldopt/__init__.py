@@ -20,6 +20,7 @@ from .economics import (
     harvesting_cost,
     seeding_cost,
     sell_revenue,
+    total_profits,
 )
 from .epidemic import (
     EpidemicTrajectory,
@@ -34,6 +35,7 @@ from .epidemic import (
 )
 from .field import (
     PlantGrid,
+    lattice_capacities,
     lattice_capacity,
     lattice_shape,
     layout_grid,
@@ -53,6 +55,7 @@ from .harness import (
 from .optimizer import (
     ArmResult,
     CandidateEvaluation,
+    MAX_CANDIDATES,
     OptimizationResult,
     ScoreMode,
     SearchMethod,
@@ -84,9 +87,11 @@ from .worstcase import (
     WorstCaseBound,
     analytic_nt,
     analytic_profit,
+    analytic_profits,
     coverage_radius,
     kcenter_greedy,
     removal_bound,
+    removal_bounds,
     worstcase_bound,
 )
 

@@ -6,6 +6,10 @@ sell_price * n - sell_discount * ln(n) (bulk sales depress the unit value).
 A season of T rounds pays seeding plus growing in round 1, growing in every
 intermediate round, and collects sale revenue minus harvesting cost on the
 surviving plants in round T.
+
+`economic_series` prices one season; `total_profits` prices a batch of
+seasons as numpy columns with the same operations in the same order, so
+each of its totals equals the `economic_series` total bit for bit.
 """
 
 from __future__ import annotations
@@ -14,11 +18,19 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .scenario import EconomicParams, ValidationError
 
 
-def _log_linear(log_coeff: float, linear_coeff: float, n: float) -> float:
-    return log_coeff * math.log(n) + linear_coeff * n
+def _log_linear(log_coeff, linear_coeff, n, log_n):
+    # n and log_n are floats or equal-shape arrays.
+    return log_coeff * log_n + linear_coeff * n
+
+
+def _check_horizon(t_final: int) -> None:
+    if t_final < 2:
+        raise ValidationError("invariant violated: series covers t in [1, T], T >= 2")
 
 
 def _check_count(n: float) -> None:
@@ -29,19 +41,19 @@ def _check_count(n: float) -> None:
 def seeding_cost(n: float, econ: EconomicParams) -> float:
     """Cost of seeding n plants."""
     _check_count(n)
-    return _log_linear(econ.seed_per_plant, econ.seed_overhead_coeff, n)
+    return _log_linear(econ.seed_per_plant, econ.seed_overhead_coeff, n, math.log(n))
 
 
 def growing_cost(n: float, econ: EconomicParams) -> float:
     """Cost of growing n plants for one round."""
     _check_count(n)
-    return _log_linear(econ.grow_per_plant, econ.grow_overhead_coeff, n)
+    return _log_linear(econ.grow_per_plant, econ.grow_overhead_coeff, n, math.log(n))
 
 
 def harvesting_cost(n: float, econ: EconomicParams) -> float:
     """Cost of harvesting n plants at the end of the season."""
     _check_count(n)
-    return _log_linear(econ.harvest_per_plant, econ.harvest_overhead_coeff, n)
+    return _log_linear(econ.harvest_per_plant, econ.harvest_overhead_coeff, n, math.log(n))
 
 
 def sell_revenue(n: float, econ: EconomicParams) -> float:
@@ -78,23 +90,60 @@ def economic_series(
     population is lost and every later round outputs 0.
     """
     t_final = len(n_t)
-    if t_final < 2:
-        raise ValidationError("invariant violated: series covers t in [1, T], T >= 2")
+    _check_horizon(t_final)
     if n_initial is None:
         n_initial = n_t[0]
 
     if died_early:
         outputs = [-seeding_cost(n_initial, econ)] + [0.0] * (t_final - 1)
-        return EconomicSeries(tuple(outputs), sum(outputs))
+        return EconomicSeries(tuple(outputs), _add_rounds(outputs))
 
-    outputs = []
+    outputs = [
+        _round_output(t, t_final, n, math.log(n), econ) if n >= 1 else 0.0
+        for t, n in enumerate(n_t, start=1)
+    ]
+    return EconomicSeries(tuple(outputs), _add_rounds(outputs))
+
+
+def total_profits(n_t: np.ndarray, econ: EconomicParams) -> np.ndarray:
+    """Season totals of a batch: entry i equals
+    `economic_series(n_t[:, i], econ).total_profit` bit for bit.
+
+    n_t has shape (T, C), one surviving-count series per column. The
+    per-round prices are the same numpy operations on the same operands;
+    logarithms come from `math.log`, because numpy's vectorized log
+    differs from libm in the last bit for some inputs.
+    """
+    t_final = len(n_t)
+    _check_horizon(t_final)
+    totals = np.zeros(n_t.shape[1])
     for t, n in enumerate(n_t, start=1):
-        if n < 1:
-            outputs.append(0.0)
-        elif t == 1:
-            outputs.append(-seeding_cost(n, econ) - growing_cost(n, econ))
-        elif t < t_final:
-            outputs.append(-growing_cost(n, econ))
-        else:
-            outputs.append(sell_revenue(n, econ) - harvesting_cost(n, econ))
-    return EconomicSeries(tuple(outputs), sum(outputs))
+        alive = n >= 1
+        log_n = np.array([math.log(v) for v in np.where(alive, n, 1.0).tolist()])
+        totals += np.where(alive, _round_output(t, t_final, n, log_n, econ), 0.0)
+    return totals
+
+
+def _round_output(t: int, t_final: int, n, log_n, econ: EconomicParams):
+    """Output of round t of t_final for n >= 1 surviving plants (floats or
+    arrays): the seeding and growing costs in round 1, the growing cost in
+    the rounds between, sale revenue minus harvesting cost in round T."""
+    if t == 1:
+        return -_log_linear(
+            econ.seed_per_plant, econ.seed_overhead_coeff, n, log_n
+        ) - _log_linear(econ.grow_per_plant, econ.grow_overhead_coeff, n, log_n)
+    if t < t_final:
+        return -_log_linear(econ.grow_per_plant, econ.grow_overhead_coeff, n, log_n)
+    revenue = econ.sell_price * n - econ.sell_discount * log_n
+    return revenue - _log_linear(
+        econ.harvest_per_plant, econ.harvest_overhead_coeff, n, log_n
+    )
+
+
+def _add_rounds(outputs: Sequence[float]) -> float:
+    # Left to right, as total_profits adds its rows (sum() compensates its
+    # rounding from Python 3.12 on).
+    total = 0.0
+    for value in outputs:
+        total += value
+    return total

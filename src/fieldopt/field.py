@@ -43,6 +43,14 @@ def lattice_capacity(field: FieldSpec, strategy: SeedingStrategy) -> int:
     return nx * ny
 
 
+def lattice_capacities(field: FieldSpec, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """`lattice_capacity` for arrays of spacings, as float64: equal to
+    float(lattice_capacity(...)) while each axis count is below 2**53."""
+    nx = np.floor(field.width_m / dx + _SNAP) + 1.0
+    ny = np.floor(field.height_m / dy + _SNAP) + 1.0
+    return nx * ny
+
+
 @dataclass(frozen=True, eq=False)
 class PlantGrid:
     """Immutable plant positions."""

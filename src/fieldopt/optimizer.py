@@ -2,11 +2,14 @@
 
 Candidates come either from an exhaustive delta-stepped grid over
 [min_spacing, W] x [min_spacing, H] or from uniform Monte Carlo sampling
-of the same box. Each candidate is scored analytically (closed-form
-worst-case profit) or by averaging simulated seasons over paired
-replicate seeds. Seeds are derived per (candidate, replicate) with the
-package-wide stable hash, so results replay exactly and candidates could
-be evaluated concurrently without changing the outcome.
+of the same box, at most MAX_CANDIDATES of them, and are kept as two
+arrays. Analytic scoring (closed-form worst-case profit) scores them all
+at once with `analytic_profits`, bit-identical to the scalar
+`analytic_profit`. Simulated scoring averages simulated seasons over
+paired replicate seeds, one candidate at a time. Seeds are derived per
+(candidate, replicate) with the package-wide stable hash, so results
+replay exactly and candidates could be evaluated concurrently without
+changing the outcome.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +32,15 @@ from .scenario import (
     ValidationError,
 )
 from .seeds import derive_seed
-from .worstcase import BoundVariant, analytic_profit
+from .worstcase import analytic_profit, analytic_profits
+
+# Most candidates one search may score. The CLI default grid (a 100 m field
+# at delta 0.05 m) has 3,996,001. A search holds a few float64 arrays of
+# this length, 40 MB each at the cap.
+MAX_CANDIDATES = 5_000_000
+# Analytic scoring works through the candidates in blocks of this many, so
+# its temporaries (Python lists of floats among them) stay small.
+_BLOCK = 1 << 16
 
 
 class SearchMethod(enum.Enum):
@@ -50,36 +62,105 @@ class CandidateEvaluation:
     n_reps: int  # 0 for analytic scoring (exact, no replicates)
 
 
-@dataclass(frozen=True)
+_COLUMNS = ("dx_m", "dy_m", "profit_estimate", "profit_std")
+
+
+@dataclass(frozen=True, eq=False)
 class OptimizationResult:
+    """The best spacing and every candidate's score, kept as read-only
+    columns: candidate i is (dx_m[i], dy_m[i]) with estimate
+    profit_estimate[i] and std profit_std[i] over n_reps replicates (0 for
+    analytic scoring, which is exact)."""
+
     best_strategy: SeedingStrategy
     best_profit: float
-    evaluations: tuple[CandidateEvaluation, ...]
+    dx_m: np.ndarray
+    dy_m: np.ndarray
+    profit_estimate: np.ndarray
+    profit_std: np.ndarray
+    n_reps: int
     mode: ScoreMode
     search: SearchMethod
+
+    @cached_property
+    def evaluations(self) -> tuple[CandidateEvaluation, ...]:
+        """One CandidateEvaluation per candidate, in search order; built on
+        first access."""
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+        return tuple(
+            CandidateEvaluation(dx, dy, profit, std, self.n_reps)
+            for dx, dy, profit, std in zip(*columns)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, OptimizationResult):
+            return NotImplemented
+        scalars = ("best_strategy", "best_profit", "n_reps", "mode", "search")
+        return all(
+            getattr(self, name) == getattr(other, name) for name in scalars
+        ) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _COLUMNS
+        )
+
+
+def _check_count(count: float) -> None:
+    if count > MAX_CANDIDATES:
+        raise ValidationError(
+            f"invariant violated: candidate count <= MAX_CANDIDATES "
+            f"({MAX_CANDIDATES}), got {count:.7g}"
+        )
+
+
+def _grid_axes(field: FieldSpec, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's spacings per axis, min_spacing + i*delta up to the width
+    (x) and up to the height (y); both empty when the field is narrower
+    than the minimal seeding distance. The grid size is checked against
+    MAX_CANDIDATES before anything is allocated."""
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValidationError("invariant violated: delta is finite and > 0")
+    lo = field.min_spacing_m
+    limits = (field.width_m, field.height_m)
+    if min(limits) < lo:
+        return np.empty(0), np.empty(0)
+    # Floats, since a tiny delta can overflow the step count to inf.
+    points = [float(np.floor((limit - lo) / delta + 1e-9)) + 1.0 for limit in limits]
+    _check_count(points[0] * points[1])
+    # Clamp the last value back onto the limit against float drift.
+    xs, ys = (
+        np.minimum(lo + np.arange(int(count)) * delta, limit)
+        for count, limit in zip(points, limits)
+    )
+    return xs, ys
 
 
 def enumerate_candidates(field: FieldSpec, delta: float) -> list[SeedingStrategy]:
     """All spacings (min_spacing + i*delta, min_spacing + j*delta) inside
     the field box, in lexicographic order; empty when the field is
     narrower than the minimal seeding distance."""
-    if delta <= 0:
-        raise ValidationError("invariant violated: delta > 0")
-
-    def axis(limit: float) -> list[float]:
-        if limit < field.min_spacing_m:
-            return []
-        steps = int(math.floor((limit - field.min_spacing_m) / delta + 1e-9))
-        # Clamp the last value back onto the limit against float drift.
-        return [
-            min(field.min_spacing_m + i * delta, limit) for i in range(steps + 1)
-        ]
-
+    xs, ys = _grid_axes(field, delta)
     return [
-        SeedingStrategy(dx_m=dx, dy_m=dy)
-        for dx in axis(field.width_m)
-        for dy in axis(field.height_m)
+        SeedingStrategy(dx_m=dx, dy_m=dy) for dx in xs.tolist() for dy in ys.tolist()
     ]
+
+
+def _candidates(
+    field: FieldSpec, search: SearchMethod, delta: float, budget: int, base_seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate spacings as (dx, dy) arrays in search order: the grid
+    of `enumerate_candidates`, or `budget` uniform draws from the box."""
+    if search is SearchMethod.GRID:
+        xs, ys = _grid_axes(field, delta)
+        return np.repeat(xs, len(ys)), np.tile(ys, len(xs))
+    if budget < 1:
+        raise ValidationError("invariant violated: budget >= 1")
+    _check_count(budget)
+    if field.width_m < field.min_spacing_m or field.height_m < field.min_spacing_m:
+        return np.empty(0), np.empty(0)
+    crng = np.random.default_rng(derive_seed(base_seed, "mc-candidates"))
+    dxs = crng.uniform(field.min_spacing_m, field.width_m, budget)
+    dys = crng.uniform(field.min_spacing_m, field.height_m, budget)
+    return dxs, dys
 
 
 def select_best(evaluations: Sequence[CandidateEvaluation]) -> CandidateEvaluation:
@@ -91,13 +172,18 @@ def select_best(evaluations: Sequence[CandidateEvaluation]) -> CandidateEvaluati
     )
 
 
+def _best_index(dx: np.ndarray, dy: np.ndarray, profit: np.ndarray) -> int:
+    """Index of the candidate `select_best` picks from these columns: its
+    key, least significant first, with the first index among equals."""
+    return int(np.lexsort((dy, dx, -(dx * dy), -profit))[0])
+
+
 def evaluate_candidate(
     scenario: Scenario,
     mode: ScoreMode,
     n_reps: int = 30,
     base_seed: int = 0,
     candidate_index: int = 0,
-    variant: BoundVariant = BoundVariant.GEOMETRIC_SUM,
 ) -> tuple[float, float]:
     """(profit estimate, std) for the scenario's strategy.
 
@@ -112,7 +198,6 @@ def evaluate_candidate(
             scenario.pathogen,
             scenario.economics,
             scenario.horizon_steps,
-            variant,
         )
         return profit, 0.0
     if n_reps < 1:
@@ -133,56 +218,60 @@ def optimize(
     budget: int = 500,
     n_reps: int = 30,
     base_seed: int | None = None,
-    variant: BoundVariant = BoundVariant.GEOMETRIC_SUM,
 ) -> OptimizationResult:
     """Maximize season profit over seeding spacings.
 
     Grid search enumerates the delta-stepped lattice; Monte Carlo draws
-    `budget` spacings uniformly from the continuous box. Any explicit
-    plant-count override on the scenario is dropped (the spacing under
-    test determines the population). Ties break toward the larger cell
-    area dx*dy (sparser seeding), then lexicographically.
+    `budget` spacings uniformly from the continuous box. Either may hold
+    at most MAX_CANDIDATES candidates. Any explicit plant-count override
+    on the scenario is dropped (the spacing under test determines the
+    population). The best candidate is the one `select_best` picks: ties
+    break toward the larger cell area dx*dy (sparser seeding), then
+    lexicographically.
     """
     base_seed = scenario.rng_seed if base_seed is None else base_seed
-    field = scenario.field
-    if search is SearchMethod.GRID:
-        candidates = enumerate_candidates(field, delta)
-    else:
-        if budget < 1:
-            raise ValidationError("invariant violated: budget >= 1")
-        if field.width_m < field.min_spacing_m or field.height_m < field.min_spacing_m:
-            candidates = []
-        else:
-            crng = np.random.default_rng(derive_seed(base_seed, "mc-candidates"))
-            dxs = crng.uniform(field.min_spacing_m, field.width_m, budget)
-            dys = crng.uniform(field.min_spacing_m, field.height_m, budget)
-            candidates = [
-                SeedingStrategy(dx_m=float(x), dy_m=float(y))
-                for x, y in zip(dxs, dys)
-            ]
-    if not candidates:
+    dx, dy = _candidates(scenario.field, search, delta, budget, base_seed)
+    if not len(dx):
         raise ValidationError("infeasible: W or H below the minimal seeding distance")
 
-    evaluations = []
-    for index, candidate in enumerate(candidates):
-        cand_scenario = replace(scenario, strategy=candidate, explicit_count=None)
-        estimate, std = evaluate_candidate(
-            cand_scenario, mode, n_reps, base_seed, index, variant
-        )
-        evaluations.append(
-            CandidateEvaluation(
-                dx_m=candidate.dx_m,
-                dy_m=candidate.dy_m,
-                profit_estimate=estimate,
-                profit_std=std,
-                n_reps=n_reps if mode is ScoreMode.SIMULATED else 0,
+    if mode is ScoreMode.ANALYTIC:
+        profit = np.empty(len(dx))
+        for start in range(0, len(dx), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            profit[block] = analytic_profits(
+                scenario.field,
+                dx[block],
+                dy[block],
+                scenario.pathogen,
+                scenario.economics,
+                scenario.horizon_steps,
             )
-        )
-    best = select_best(evaluations)
+        std = np.zeros(len(dx))
+        reps = 0
+    else:
+        scores = [
+            evaluate_candidate(
+                replace(scenario, strategy=SeedingStrategy(x, y), explicit_count=None),
+                mode,
+                n_reps,
+                base_seed,
+                index,
+            )
+            for index, (x, y) in enumerate(zip(dx.tolist(), dy.tolist()))
+        ]
+        profit, std = (np.array(column) for column in zip(*scores))
+        reps = n_reps
+    best = _best_index(dx, dy, profit)
+    for column in (dx, dy, profit, std):
+        column.flags.writeable = False
     return OptimizationResult(
-        best_strategy=SeedingStrategy(dx_m=best.dx_m, dy_m=best.dy_m),
-        best_profit=best.profit_estimate,
-        evaluations=tuple(evaluations),
+        best_strategy=SeedingStrategy(dx_m=float(dx[best]), dy_m=float(dy[best])),
+        best_profit=float(profit[best]),
+        dx_m=dx,
+        dy_m=dy,
+        profit_estimate=profit,
+        profit_std=std,
+        n_reps=reps,
         mode=mode,
         search=search,
     )

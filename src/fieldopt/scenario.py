@@ -96,6 +96,7 @@ class EconomicParams:
 
     def __post_init__(self):
         for f in fields(self):
+            _require(math.isfinite(getattr(self, f.name)), f"{f.name} is finite")
             _require(getattr(self, f.name) >= 0, f"{f.name} >= 0")
         _require(self.sell_price > 0, "sell_price > 0")
 
@@ -108,6 +109,8 @@ class SeedingStrategy:
     dy_m: float = 0.2
 
     def __post_init__(self):
+        for name in ("dx_m", "dy_m"):
+            _require(math.isfinite(getattr(self, name)), f"{name} is finite")
         _require(self.dx_m > 0, "dx_m > 0")
         _require(self.dy_m > 0, "dy_m > 0")
 

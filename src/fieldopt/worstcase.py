@@ -5,9 +5,14 @@ closed-form surviving-count series, and the analytic profit objective.
 The removal bound treats r = sqrt(dx^2 + dy^2), the diagonal spacing of the
 lattice, as the single effective transmission distance: with q = beta0 / r,
 cumulative removals after T rounds are bounded by gamma * k * sum_{t=1..T}
-q^(t-1). Two variants of the closed form are provided; GeometricSum is the
-sum evaluated exactly, PaperExact keeps an extra factor 1/q (so for q < 1
-it equals GeometricSum / q) and is retained behind a flag for comparison.
+q^(t-1). The surviving counts and the profit use this sum evaluated exactly
+(GeometricSum). `removal_bound` also offers the paper's printed form,
+PaperExact, which keeps an extra factor 1/q (for q < 1 it equals
+GeometricSum / q); it serves only to compare the two forms.
+
+`analytic_profit` scores one spacing and is the reference for
+`analytic_profits`, which scores a batch of spacings as numpy arrays with
+the same operations in the same order, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .economics import economic_series
-from .field import lattice_capacity
+from .economics import economic_series, total_profits
+from .field import lattice_capacities, lattice_capacity
 from .scenario import (
     EconomicParams,
     FieldSpec,
@@ -118,17 +123,32 @@ def removal_bound(
     return gamma * k * numerator / (q - 1.0)
 
 
-def analytic_nt(
-    n: float,
-    pathogen: PathogenParams,
-    r_m: float,
-    t: int,
-    variant: BoundVariant = BoundVariant.GEOMETRIC_SUM,
-) -> float:
+def removal_bounds(
+    beta0: float, gamma: float, k: int, r_m: np.ndarray, horizon: int
+) -> np.ndarray:
+    """GeometricSum `removal_bound` for t = 1..horizon and every distance
+    in r_m: a (horizon, len(r_m)) array, row t - 1 for round t, bit for bit.
+
+    The powers q**t come from Python's float power, because numpy's
+    vectorized power rounds differently for some inputs.
+    """
+    q = beta0 / r_m
+    gk = gamma * k
+    degenerate = np.abs(q - 1.0) < 1e-12
+    denominator = np.where(degenerate, 1.0, q - 1.0)
+    q_list = q.tolist()
+    rows = np.empty((horizon, len(q)))
+    for t in range(1, horizon + 1):
+        numerator = np.array([v**t for v in q_list]) - 1.0
+        rows[t - 1] = np.where(degenerate, gk * t, gk * numerator / denominator)
+    return rows
+
+
+def analytic_nt(n: float, pathogen: PathogenParams, r_m: float, t: int) -> float:
     """Closed-form surviving count at round t: n minus the removal bound,
     floored at zero (the bound can exceed n for aggressive parameters)."""
     bound = removal_bound(
-        pathogen.beta0, pathogen.gamma, pathogen.initial_infected, r_m, t, variant
+        pathogen.beta0, pathogen.gamma, pathogen.initial_infected, r_m, t
     )
     return max(0.0, n - bound)
 
@@ -138,7 +158,6 @@ def worstcase_bound(
     pathogen: PathogenParams,
     strategy: SeedingStrategy,
     horizon: int,
-    variant: BoundVariant = BoundVariant.GEOMETRIC_SUM,
 ) -> WorstCaseBound:
     """Bundle r, q, the total removal bound, and the full N_t series."""
     r_m = math.hypot(strategy.dx_m, strategy.dy_m)
@@ -151,11 +170,9 @@ def worstcase_bound(
             pathogen.initial_infected,
             r_m,
             horizon,
-            variant,
         ),
         n_t_series=tuple(
-            analytic_nt(n, pathogen, r_m, t, variant)
-            for t in range(1, horizon + 1)
+            analytic_nt(n, pathogen, r_m, t) for t in range(1, horizon + 1)
         ),
     )
 
@@ -166,7 +183,6 @@ def analytic_profit(
     pathogen: PathogenParams,
     econ: EconomicParams,
     horizon: int,
-    variant: BoundVariant = BoundVariant.GEOMETRIC_SUM,
 ) -> float:
     """Closed-form season profit for a candidate spacing.
 
@@ -183,5 +199,30 @@ def analytic_profit(
             [float(n)] * horizon, econ, n_initial=n, died_early=True
         )
         return series.total_profit
-    bound = worstcase_bound(n, pathogen, strategy, horizon, variant)
+    bound = worstcase_bound(n, pathogen, strategy, horizon)
     return economic_series(bound.n_t_series, econ).total_profit
+
+
+def analytic_profits(
+    field: FieldSpec,
+    dx: np.ndarray,
+    dy: np.ndarray,
+    pathogen: PathogenParams,
+    econ: EconomicParams,
+    horizon: int,
+) -> np.ndarray:
+    """`analytic_profit` of every spacing (dx[i], dy[i]), bit for bit.
+
+    Domain: min_spacing_m <= dx <= width_m and min_spacing_m <= dy <=
+    height_m, the box every optimizer search draws from. The scalar
+    branches for spacings outside it (wider than the field, or below the
+    minimum seeding distance) have no counterpart here. Distances come
+    from `math.hypot`, as in the scalar path: numpy's hypot differs from
+    it in the last bit for some inputs.
+    """
+    n = lattice_capacities(field, dx, dy)
+    r_m = np.array([math.hypot(x, y) for x, y in zip(dx.tolist(), dy.tolist())])
+    bounds = removal_bounds(
+        pathogen.beta0, pathogen.gamma, pathogen.initial_infected, r_m, horizon
+    )
+    return total_profits(np.maximum(0.0, n - bounds), econ)

@@ -215,6 +215,11 @@ def test_jobs_flag_does_not_change_baseline(tmp_path, capsys):
     [
         ["sweep-pathogen", "--gamma-values", "1/0"],
         ["simulate", "--set", "field.width_m=inf"],
+        ["optimize", "--delta", "1e-300"],
+        ["optimize", "--delta", "nan"],
+        ["optimize", "--search", "montecarlo", "--budget", "10000000000"],
+        ["simulate", "--set", "strategy.dx_m=inf"],
+        ["simulate", "--set", "economics.sell_price=inf"],
     ],
 )
 def test_bad_numbers_exit_1_without_traceback(argv):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from fieldopt import (
     harvesting_cost,
     seeding_cost,
     sell_revenue,
+    total_profits,
 )
 
 ECON = EconomicParams()
@@ -125,3 +127,26 @@ def test_revenue_monotone_when_price_dominates_discount(n):
     # d/dn (psi1 n - psi2 ln n) = psi1 - psi2/n > 0 whenever n > psi2/psi1
     if n > ECON.sell_discount / ECON.sell_price:
         assert sell_revenue(n + 1, ECON) > sell_revenue(n, ECON)
+
+
+@given(
+    st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=2, max_size=6),
+        min_size=1,
+        max_size=10,
+    ),
+    st.floats(0.0, 1.0),
+    st.floats(0.01, 10.0),
+)
+def test_total_profits_equal_series_totals(series, grow_per_plant, sell_price):
+    # counts below 1 included: those rounds output 0 on both paths
+    horizon = len(series[0])
+    series = [s[:horizon] + [1.5] * (horizon - len(s)) for s in series]
+    econ = EconomicParams(grow_per_plant=grow_per_plant, sell_price=sell_price)
+    totals = total_profits(np.array(series).T, econ)
+    assert totals.tolist() == [economic_series(s, econ).total_profit for s in series]
+
+
+def test_total_profits_need_two_rounds():
+    with pytest.raises(ValidationError, match="T >= 2"):
+        total_profits(np.ones((1, 3)), ECON)

@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldopt import (
+    MAX_CANDIDATES,
     CandidateEvaluation,
     EconomicParams,
     FieldSpec,
@@ -18,12 +20,16 @@ from fieldopt import (
     ValidationError,
     analytic_profit,
     compare_strategies,
+    derive_seed,
     economic_series,
     enumerate_candidates,
     evaluate_candidate,
+    lattice_capacity,
     optimize,
     select_best,
+    worstcase_bound,
 )
+from fieldopt import optimizer
 
 
 def _scenario(**kwargs):
@@ -267,6 +273,192 @@ def test_optimize_analytic_beats_mid_candidate(seed):
         scenario.horizon_steps,
     )
     assert result.best_profit >= default - 1e-9
+
+
+# -- batched analytic scoring against the scalar path ------------------------
+
+
+def _scalar_optimize(scenario, candidates):
+    """The per-candidate loop: one Scenario and one analytic_profit call per
+    candidate, then select_best."""
+    evaluations = tuple(
+        CandidateEvaluation(
+            c.dx_m,
+            c.dy_m,
+            *evaluate_candidate(
+                replace(scenario, strategy=c, explicit_count=None), ScoreMode.ANALYTIC
+            ),
+            n_reps=0,
+        )
+        for c in candidates
+    )
+    return evaluations, select_best(evaluations)
+
+
+def _mc_candidates(field, budget, base_seed):
+    crng = np.random.default_rng(derive_seed(base_seed, "mc-candidates"))
+    dxs = crng.uniform(field.min_spacing_m, field.width_m, budget)
+    dys = crng.uniform(field.min_spacing_m, field.height_m, budget)
+    return [SeedingStrategy(float(x), float(y)) for x, y in zip(dxs, dys)]
+
+
+def _assert_matches_scalar(scenario, result, candidates):
+    evaluations, best = _scalar_optimize(scenario, candidates)
+    assert result.evaluations == evaluations  # every field, exactly
+    assert result.best_strategy == SeedingStrategy(best.dx_m, best.dy_m)
+    assert result.best_profit == best.profit_estimate
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.floats(0.1, 3.0),
+    height=st.floats(0.1, 3.0),
+    delta=st.floats(0.05, 0.5),
+    beta0=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    gamma=st.floats(0.005, 1.0),
+    k=st.integers(1, 10),
+    horizon=st.integers(2, 6),
+    grid=st.booleans(),
+    budget=st.integers(1, 300),
+    base_seed=st.integers(0, 2**32),
+)
+def test_batched_analytic_scores_equal_scalar_path(
+    width, height, delta, beta0, gamma, k, horizon, grid, budget, base_seed
+):
+    scenario = _scenario(
+        field=FieldSpec(width_m=width, height_m=height),
+        pathogen=PathogenParams(beta0=beta0, gamma=gamma, initial_infected=k),
+        horizon_steps=horizon,
+    )
+    if grid:
+        result = optimize(scenario, search=SearchMethod.GRID, delta=delta)
+        candidates = enumerate_candidates(scenario.field, delta)
+    else:
+        result = optimize(
+            scenario, search=SearchMethod.MONTE_CARLO, budget=budget, base_seed=base_seed
+        )
+        candidates = _mc_candidates(scenario.field, budget, base_seed)
+    _assert_matches_scalar(scenario, result, candidates)
+
+
+def test_batched_scores_degenerate_ratio():
+    # hypot(0.6, 0.8) == 1.0 == beta0, so q is exactly 1 and the bound is
+    # gamma * k * t
+    scenario = _scenario(
+        field=FieldSpec(width_m=0.8, height_m=0.8, min_spacing_m=0.6),
+        pathogen=PathogenParams(beta0=1.0, gamma=0.1, initial_infected=2),
+        horizon_steps=4,
+    )
+    result = optimize(scenario, search=SearchMethod.GRID, delta=0.2)
+    assert (0.6, 0.8) in zip(result.dx_m.tolist(), result.dy_m.tolist())
+    _assert_matches_scalar(scenario, result, enumerate_candidates(scenario.field, 0.2))
+
+
+def test_batched_scores_bound_exceeding_population():
+    # q = 1 / hypot(0.1, 0.1) ~ 7: the bound passes N within the season, so
+    # the late rounds of the dense candidates have n_t < 1 and output 0
+    scenario = _scenario(
+        pathogen=PathogenParams(beta0=1.0, gamma=1.0, initial_infected=10),
+        horizon_steps=6,
+    )
+    result = optimize(scenario, search=SearchMethod.GRID, delta=0.1)
+    n = lattice_capacity(scenario.field, SeedingStrategy(0.1, 0.1))
+    bound = worstcase_bound(n, scenario.pathogen, SeedingStrategy(0.1, 0.1), 6)
+    assert bound.n_t_series[0] >= 1 and bound.n_t_series[-1] == 0.0
+    _assert_matches_scalar(scenario, result, enumerate_candidates(scenario.field, 0.1))
+
+
+def test_batched_scores_exact_ties_without_transmission():
+    # beta0 = 0: profit depends on the lattice shape only, so spacings
+    # with the same shape tie exactly and the area tie-break decides; on a
+    # 0.35 m axis every spacing in [0.1, 0.35/3) lays out 4 plants
+    scenario = _scenario(
+        field=FieldSpec(width_m=0.35, height_m=0.35),
+        pathogen=PathogenParams(beta0=0.0, gamma=0.5, initial_infected=2),
+    )
+    result = optimize(scenario, search=SearchMethod.GRID, delta=0.005)
+    assert np.count_nonzero(result.profit_estimate == result.best_profit) == 16
+    _assert_matches_scalar(
+        scenario, result, enumerate_candidates(scenario.field, 0.005)
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.1, 0.2, 0.3, 0.6]),
+            st.sampled_from([0.1, 0.2, 0.3, 0.6]),
+            st.sampled_from([-1.0, -0.0, 0.0, 2.0]),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_best_index_is_select_best(rows):
+    # few distinct values, so profit, area and (dx, dy) ties all occur,
+    # including (a, b) against (b, a)
+    dx, dy, profit = (np.array(column) for column in zip(*rows))
+    index = optimizer._best_index(dx, dy, profit)
+    assert rows[index] == min(
+        rows, key=lambda r: (-r[2], -(r[0] * r[1]), r[0], r[1])
+    )
+    best = select_best([_eval(*row) for row in rows])
+    assert (best.dx_m, best.dy_m, best.profit_estimate) == rows[index]
+
+
+def test_analytic_search_builds_no_object_per_candidate(monkeypatch):
+    calls = {"replace": 0, "strategy": 0, "analytic_profit": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(optimizer, "replace", counting("replace", replace))
+    monkeypatch.setattr(
+        optimizer, "SeedingStrategy", counting("strategy", SeedingStrategy)
+    )
+    monkeypatch.setattr(
+        optimizer, "analytic_profit", counting("analytic_profit", analytic_profit)
+    )
+    result = optimize(_scenario(), search=SearchMethod.GRID, delta=0.01)
+    assert len(result.dx_m) == 91 * 91
+    assert calls == {"replace": 0, "strategy": 1, "analytic_profit": 0}
+
+
+# -- candidate cap ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+def test_delta_must_be_finite_and_positive(delta):
+    with pytest.raises(ValidationError, match="delta is finite and > 0"):
+        optimize(_scenario(), search=SearchMethod.GRID, delta=delta)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(search=SearchMethod.GRID, delta=1e-300),
+        # 2,237 x 2,237 = 5,004,169 spacings, just above the cap
+        dict(search=SearchMethod.GRID, delta=0.9 / 2236),
+        dict(search=SearchMethod.MONTE_CARLO, budget=MAX_CANDIDATES + 1),
+        dict(search=SearchMethod.MONTE_CARLO, budget=10**10),
+    ],
+)
+def test_candidate_count_is_capped_before_allocation(kwargs):
+    with pytest.raises(ValidationError, match="MAX_CANDIDATES"):
+        optimize(_scenario(), **kwargs)
+    if kwargs["search"] is SearchMethod.GRID:
+        with pytest.raises(ValidationError, match="MAX_CANDIDATES"):
+            enumerate_candidates(_scenario().field, kwargs["delta"])
+
+
+def test_grid_just_below_the_cap_is_allowed():
+    # 2,236 x 2,236 = 4,999,696 spacings; only the two axes are built here
+    xs, ys = optimizer._grid_axes(_scenario().field, 0.9 / 2235)
+    assert len(xs) * len(ys) == 4_999_696 <= MAX_CANDIDATES
 
 
 # -- strategy comparison ------------------------------------------------------

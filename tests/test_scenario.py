@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -70,6 +70,17 @@ def test_invariant_rejections(build):
 def test_field_dimensions_must_be_finite(name, value):
     with pytest.raises(ValidationError, match=f"{name} is finite"):
         FieldSpec(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(SeedingStrategy, "dx_m"), (SeedingStrategy, "dy_m")]
+    + [(EconomicParams, f.name) for f in fields(EconomicParams)],
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_strategy_and_economics_must_be_finite(cls, name, value):
+    with pytest.raises(ValidationError, match=f"{name} is finite"):
+        cls(**{name: value})
 
 
 def test_explicit_count_must_fit_capacity():

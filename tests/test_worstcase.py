@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldopt import (
@@ -15,12 +15,14 @@ from fieldopt import (
     ValidationError,
     analytic_nt,
     analytic_profit,
+    analytic_profits,
     coverage_radius,
     economic_series,
     kcenter_greedy,
     lattice_capacity,
     layout_grid,
     removal_bound,
+    removal_bounds,
     seeding_cost,
     worstcase_bound,
 )
@@ -219,3 +221,88 @@ def test_analytic_profit_population_matches_layout(width, height, dx, dy):
         return
     grid = layout_grid(field, strategy)
     assert grid.count == lattice_capacity(field, strategy)
+
+
+# -- batched bound and profit against the scalar path ------------------------
+
+
+@given(
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.floats(0.005, 1.0),
+    st.integers(1, 10),
+    st.lists(st.floats(0.01, 5.0), min_size=1, max_size=20),
+    st.integers(1, 8),
+)
+def test_removal_bounds_equal_scalar(beta0, gamma, k, distances, horizon):
+    rows = removal_bounds(beta0, gamma, k, np.array(distances), horizon)
+    assert rows.shape == (horizon, len(distances))
+    for t in range(1, horizon + 1):
+        assert rows[t - 1].tolist() == [
+            removal_bound(beta0, gamma, k, r, t) for r in distances
+        ]
+
+
+def test_removal_bounds_degenerate_ratio():
+    # r == beta0: q is exactly 1 and every round is gamma * k * t
+    rows = removal_bounds(0.5, 0.1, 2, np.array([0.5, 0.25]), 3)
+    assert rows[:, 0].tolist() == [0.1 * 2 * t for t in (1, 2, 3)]
+    assert rows[:, 1].tolist() == [removal_bound(0.5, 0.1, 2, 0.25, t) for t in (1, 2, 3)]
+
+
+@settings(max_examples=200)
+@given(
+    st.floats(0.1, 100.0),
+    st.floats(0.1, 100.0),
+    st.floats(0.01, 0.5),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=30),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.floats(0.005, 1.0),
+    st.integers(1, 50),
+    st.integers(2, 6),
+)
+def test_analytic_profits_equal_scalar(
+    width, height, min_spacing, fractions, beta0, gamma, k, horizon
+):
+    # spacings anywhere in the box [min_spacing, W] x [min_spacing, H]
+    field = FieldSpec(width_m=width, height_m=height, min_spacing_m=min(min_spacing, width, height))
+    lo = field.min_spacing_m
+    dx = np.array([min(lo + u * (width - lo), width) for u, _ in fractions])
+    dy = np.array([min(lo + v * (height - lo), height) for _, v in fractions])
+    pathogen = PathogenParams(beta0=beta0, gamma=gamma, initial_infected=k)
+    batched = analytic_profits(field, dx, dy, pathogen, ECON, horizon)
+    assert batched.tolist() == [
+        analytic_profit(field, SeedingStrategy(x, y), pathogen, ECON, horizon)
+        for x, y in zip(dx.tolist(), dy.tolist())
+    ]
+
+
+def test_analytic_profits_equal_scalar_on_many_spacings():
+    # numpy's vectorized log, hypot and power differ from libm in the last
+    # bit for a small share of inputs. With a bound close to n (q up to 7 on
+    # a small field) such a bit reaches the profit; 20,000 spacings hit
+    # dozens of them on a machine where numpy vectorizes these functions.
+    rng = np.random.default_rng(3)
+    field = FieldSpec(3.0, 2.0)
+    dx = rng.uniform(field.min_spacing_m, field.width_m, 20_000)
+    dy = rng.uniform(field.min_spacing_m, field.height_m, 20_000)
+    pathogen = PathogenParams(beta0=1.0, gamma=0.5, initial_infected=3)
+    batched = analytic_profits(field, dx, dy, pathogen, ECON, 5)
+    assert batched.tolist() == [
+        analytic_profit(field, SeedingStrategy(x, y), pathogen, ECON, 5)
+        for x, y in zip(dx.tolist(), dy.tolist())
+    ]
+
+
+def test_analytic_profits_mask_rounds_after_the_bound_passes_n():
+    # q = 1 / hypot(0.1, 0.1) ~ 7 and k = 10: n_t falls below 1 by round 3
+    field = FieldSpec(1.0, 1.0)
+    pathogen = PathogenParams(beta0=1.0, gamma=1.0, initial_infected=10)
+    dense, sparse = SeedingStrategy(0.1, 0.1), SeedingStrategy(0.5, 1.0)
+    series = worstcase_bound(lattice_capacity(field, dense), pathogen, dense, 5).n_t_series
+    assert series[0] >= 1 and series[2:] == (0.0, 0.0, 0.0)
+    batched = analytic_profits(
+        field, np.array([0.1, 0.5]), np.array([0.1, 1.0]), pathogen, ECON, 5
+    )
+    assert batched.tolist() == [
+        analytic_profit(field, s, pathogen, ECON, 5) for s in (dense, sparse)
+    ]
