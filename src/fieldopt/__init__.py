@@ -34,6 +34,7 @@ from .epidemic import (
     step,
 )
 from .field import (
+    MAX_PLANTS,
     PlantGrid,
     lattice_capacities,
     lattice_capacity,

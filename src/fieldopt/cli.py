@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 validation or usage error, 2 I/O error. The seed
 is taken from --seed, else the FIELDOPT_SEED environment variable, else
 the scenario's rng_seed. simulate and optimize default to the built-in
 default scenario (100 m field); the experiment subcommands default to
-its 10 m desk-scale variant so they finish in CI time.
+its 10 m desk-scale variant so they finish in CI time. Each experiment
+subcommand builds one ExperimentSpec and runs it with
+harness.run_experiment; only they take --jobs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .epidemic import run
 from .harness import (
@@ -21,10 +23,7 @@ from .harness import (
     ExperimentSpec,
     _write_csv,
     desk_scenario,
-    run_baseline,
-    run_economic_sweep,
-    run_optimal_comparison,
-    run_pathogen_sweep,
+    run_experiment,
 )
 from .optimizer import ScoreMode, SearchMethod, optimize
 from .scenario import (
@@ -71,7 +70,6 @@ def build_parser() -> _Parser:
         help="override a scenario key (repeatable)",
     )
     common.add_argument("--seed", type=int, help="RNG seed / master seed override")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for replicates")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sub.add_parser("simulate", parents=[common], help="run one season and print its profit")
@@ -84,27 +82,40 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=30, help="replicates per candidate (simulated mode)")
     p.add_argument("--out-dir", help="also write evaluations.csv here")
 
+    # The experiment options' dests are ExperimentSpec field names; an
+    # option left unset keeps the spec's default.
     experiment = argparse.ArgumentParser(add_help=False, parents=[common])
     experiment.add_argument(
-        "--reps", type=int, help="replicates per cell/arm (default per experiment)"
+        "--reps",
+        type=int,
+        dest="replicates",
+        metavar="REPS",
+        help="replicates per cell/arm (default per experiment)",
     )
     experiment.add_argument("--out-dir", default="out", help="CSV output directory")
+    experiment.add_argument("--jobs", type=int, default=1, help="worker processes for replicates")
 
     p = sub.add_parser("baseline", parents=[experiment], help="field-density baseline experiment")
+    p.set_defaults(kind=ExperimentKind.BASELINE)
     p.add_argument("--sizes", type=_int_list, help="population sizes, e.g. 400,2500,10000")
 
     p = sub.add_parser("sweep-pathogen", parents=[experiment], help="(beta0, gamma) sensitivity sweep")
+    p.set_defaults(kind=ExperimentKind.PATHOGEN_SWEEP)
     p.add_argument("--beta0-values", type=_float_list, help="e.g. 0.001,0.003,0.005")
     p.add_argument("--gamma-values", type=_float_list, help="e.g. 1/65,1/42,1/21")
 
     p = sub.add_parser("sweep-econ", parents=[experiment], help="economic ratio sweeps")
+    p.set_defaults(kind=ExperimentKind.ECONOMIC_SWEEP)
     p.add_argument("--grow-cost-ratios", type=_float_list)
     p.add_argument("--price-discount-ratios", type=_float_list)
     p.add_argument("--grow-price-ratios", type=_float_list)
 
     p = sub.add_parser("compare", parents=[experiment], help="default vs optimal strategy comparison")
+    p.set_defaults(kind=ExperimentKind.OPTIMAL_COMPARISON)
     p.add_argument("--instances", type=int, help="random instances to draw")
-    p.add_argument("--delta", type=float, help="optimizer grid step (m)")
+    p.add_argument(
+        "--delta", type=float, dest="optimizer_delta", metavar="DELTA", help="optimizer grid step (m)"
+    )
     p.add_argument("--width-range", type=_float_pair, metavar="LO,HI")
     p.add_argument("--height-range", type=_float_pair, metavar="LO,HI")
     p.add_argument("--beta0-range", type=_float_pair, metavar="LO,HI")
@@ -148,6 +159,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_EVALUATION_FIELDS = ["dx_m", "dy_m", "profit_estimate", "profit_std", "n_reps"]
+
+
+def _evaluation_rows(result, block: int = 1 << 16):
+    """The rows of evaluations.csv, made from the result's columns one
+    block at a time, so no object per candidate outlives its row."""
+    columns = _EVALUATION_FIELDS[:4]
+    for start in range(0, len(result.dx_m), block):
+        values = [getattr(result, name)[start : start + block].tolist() for name in columns]
+        for row in zip(*values):
+            yield dict(zip(_EVALUATION_FIELDS, (*row, result.n_reps)))
+
+
 def _cmd_optimize(args) -> int:
     scenario = _load(args, scenario_default)
     result = optimize(
@@ -160,99 +184,40 @@ def _cmd_optimize(args) -> int:
         base_seed=_resolve_seed(args, scenario),
     )
     if args.out_dir:
-        rows = [
-            {
-                "dx_m": e.dx_m,
-                "dy_m": e.dy_m,
-                "profit_estimate": e.profit_estimate,
-                "profit_std": e.profit_std,
-                "n_reps": e.n_reps,
-            }
-            for e in result.evaluations
-        ]
-        _write_csv(
-            args.out_dir,
-            "evaluations.csv",
-            ["dx_m", "dy_m", "profit_estimate", "profit_std", "n_reps"],
-            rows,
-        )
+        _write_csv(args.out_dir, "evaluations.csv", _EVALUATION_FIELDS, _evaluation_rows(result))
     best = result.best_strategy
     print(f"best dx_m={best.dx_m:.9g} dy_m={best.dy_m:.9g} profit={result.best_profit:.9g}")
     return 0
 
 
-def _experiment_spec(args, kind: ExperimentKind, **extra) -> ExperimentSpec:
-    scenario = _load(args, desk_scenario)
-    fields = {
-        "scenario": scenario,
-        "kind": kind,
-        "master_seed": _resolve_seed(args, scenario),
-        "out_dir": args.out_dir,
-        "jobs": args.jobs,
-    }
-    if args.reps is not None:
-        fields["replicates"] = args.reps
-    fields.update({key: value for key, value in extra.items() if value is not None})
-    return ExperimentSpec(**fields)
-
-
-def _cmd_baseline(args) -> int:
-    spec = _experiment_spec(args, ExperimentKind.BASELINE, sizes=args.sizes)
-    rows = run_baseline(spec)
-    print(f"wrote {spec.out_dir}/baseline.csv ({len(rows)} rows)")
-    return 0
-
-
-def _cmd_sweep_pathogen(args) -> int:
-    spec = _experiment_spec(
-        args,
-        ExperimentKind.PATHOGEN_SWEEP,
-        beta0_values=args.beta0_values,
-        gamma_values=args.gamma_values,
-    )
-    rows, _ = run_pathogen_sweep(spec)
-    print(f"wrote {spec.out_dir}/pathogen_sweep.csv ({len(rows)} rows) and fits.csv")
-    return 0
-
-
-def _cmd_sweep_econ(args) -> int:
-    spec = _experiment_spec(
-        args,
-        ExperimentKind.ECONOMIC_SWEEP,
-        grow_cost_ratios=args.grow_cost_ratios,
-        price_discount_ratios=args.price_discount_ratios,
-        grow_price_ratios=args.grow_price_ratios,
-    )
-    rows = run_economic_sweep(spec)
-    print(f"wrote {spec.out_dir}/econ_sweep.csv ({len(rows)} rows)")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    spec = _experiment_spec(
-        args,
-        ExperimentKind.OPTIMAL_COMPARISON,
-        instances=args.instances,
-        optimizer_delta=args.delta,
-        width_range=args.width_range,
-        height_range=args.height_range,
-        beta0_range=args.beta0_range,
-        gamma_range=args.gamma_range,
-        comparison_reps=args.reps,
-    )
-    rows, _ = run_optimal_comparison(spec)
-    print(f"wrote {spec.out_dir}/comparison.csv ({len(rows)} rows)")
-    return 0
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "optimize": _cmd_optimize,
-    "baseline": _cmd_baseline,
-    "sweep-pathogen": _cmd_sweep_pathogen,
-    "sweep-econ": _cmd_sweep_econ,
-    "compare": _cmd_compare,
+# The line each experiment prints, given its output directory and row count.
+_WROTE = {
+    ExperimentKind.BASELINE: "wrote {out}/baseline.csv ({n} rows)",
+    ExperimentKind.PATHOGEN_SWEEP: "wrote {out}/pathogen_sweep.csv ({n} rows) and fits.csv",
+    ExperimentKind.ECONOMIC_SWEEP: "wrote {out}/econ_sweep.csv ({n} rows)",
+    ExperimentKind.OPTIMAL_COMPARISON: "wrote {out}/comparison.csv ({n} rows)",
 }
+
+
+def _cmd_experiment(args) -> int:
+    scenario = _load(args, desk_scenario)
+    given = {
+        f.name: getattr(args, f.name)
+        for f in fields(ExperimentSpec)
+        if getattr(args, f.name, None) is not None
+    }
+    if args.kind is ExperimentKind.OPTIMAL_COMPARISON and args.replicates is not None:
+        given["comparison_reps"] = args.replicates  # compare --reps sets both
+    # args.scenario is the --scenario path; the spec takes the loaded one.
+    given.update(scenario=scenario, master_seed=_resolve_seed(args, scenario))
+    spec = ExperimentSpec(**given)
+    out = run_experiment(spec)
+    rows = out[0] if isinstance(out, tuple) else out
+    print(_WROTE[spec.kind].format(out=spec.out_dir, n=len(rows)))
+    return 0
+
+
+_COMMANDS = {"simulate": _cmd_simulate, "optimize": _cmd_optimize}
 
 
 def main(argv=None) -> int:
@@ -262,7 +227,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS.get(args.command, _cmd_experiment)(args)
     except (ValidationError, ScenarioParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,6 +25,12 @@ from .scenario import FieldSpec, SeedingStrategy, ValidationError
 # 501 lattice positions per axis even though 100/0.2 rounds just below 500.
 _SNAP = 1e-9
 
+# Most plants one lattice may hold; `Scenario` enforces it. A season holds
+# about 70 bytes per plant at its peak: 21 for positions and state, 48 for
+# the infection kernel's work arrays over the susceptible plants (see the
+# README). This caps one season near 1.4 GB.
+MAX_PLANTS = 20_000_000
+
 
 def _axis_points(length: float, spacing: float) -> int:
     return int(math.floor(length / spacing + _SNAP)) + 1
@@ -40,6 +46,14 @@ def lattice_shape(field: FieldSpec, strategy: SeedingStrategy) -> tuple[int, int
 
 def lattice_capacity(field: FieldSpec, strategy: SeedingStrategy) -> int:
     nx, ny = lattice_shape(field, strategy)
+    return nx * ny
+
+
+def lattice_size(field: FieldSpec, dx: float, dy: float) -> float:
+    """The lattice capacity at spacing (dx, dy), counted in floats: inf
+    where a tiny spacing overflows it, so it never raises."""
+    nx = float(np.floor(field.width_m / dx + _SNAP)) + 1.0
+    ny = float(np.floor(field.height_m / dy + _SNAP)) + 1.0
     return nx * ny
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import _mean_std, fit_plane, paired_t_test
+from .economics import economic_series
 from .epidemic import run
 from .field import spacing_from_count
 from .optimizer import ScoreMode, SearchMethod, compare_strategies, optimize
@@ -136,6 +138,18 @@ def _map_jobs(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
+def _replicates(spec: ExperimentSpec, label: str, cells: list[Scenario]) -> list[list]:
+    """Run `spec.replicates` seasons of every cell scenario; one batch of
+    results per cell. Replicate i runs on derive_seed(master_seed, label, i)
+    in every cell (common random numbers)."""
+    seeds = [derive_seed(spec.master_seed, label, i) for i in range(spec.replicates)]
+    results = _map_jobs(
+        run, [replace(cell, rng_seed=seed) for cell in cells for seed in seeds], spec.jobs
+    )
+    n = spec.replicates
+    return [results[k * n : (k + 1) * n] for k in range(len(cells))]
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -144,7 +158,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out_dir, name: str, fieldnames: list[str], rows: list[dict]) -> Path:
+def _write_csv(out_dir, name: str, fieldnames: list[str], rows: Iterable[dict]) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
@@ -169,19 +183,12 @@ def run_baseline(spec: ExperimentSpec) -> list[dict]:
     """
     scenario = spec.scenario
     horizon = scenario.horizon_steps
-    seeds = [derive_seed(spec.master_seed, "baseline", i) for i in range(spec.replicates)]
-    scenarios = []
-    for size in spec.sizes:
-        strategy = spacing_from_count(scenario.field, size)
-        for seed in seeds:
-            scenarios.append(
-                replace(scenario, strategy=strategy, explicit_count=size, rng_seed=seed)
-            )
-    results = _map_jobs(run, scenarios, spec.jobs)
-
+    cells = [
+        replace(scenario, strategy=spacing_from_count(scenario.field, n), explicit_count=n)
+        for n in spec.sizes
+    ]
     rows = []
-    for s_idx, size in enumerate(spec.sizes):
-        batch = results[s_idx * spec.replicates : (s_idx + 1) * spec.replicates]
+    for size, batch in zip(spec.sizes, _replicates(spec, "baseline", cells)):
         for t in range(1, horizon + 1):
             if t < horizon:
                 r0_mean, r0_std = _mean_std([res.r0.r0_t[t - 1] for res in batch])
@@ -233,21 +240,12 @@ def run_pathogen_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict]:
         raise ValidationError(
             "invariant violated: baseline (beta0, gamma) cell in the sweep grid"
         )
-    seeds = [derive_seed(spec.master_seed, "pathogen", i) for i in range(spec.replicates)]
-    scenarios = [
-        replace(
-            scenario,
-            pathogen=replace(scenario.pathogen, beta0=b, gamma=g),
-            rng_seed=seed,
-        )
-        for (b, g) in cells
-        for seed in seeds
+    variants = [
+        replace(scenario, pathogen=replace(scenario.pathogen, beta0=b, gamma=g))
+        for b, g in cells
     ]
-    results = _map_jobs(run, scenarios, spec.jobs)
-
     stats = []
-    for c_idx, (b, g) in enumerate(cells):
-        batch = results[c_idx * spec.replicates : (c_idx + 1) * spec.replicates]
+    for (b, g), batch in zip(cells, _replicates(spec, "pathogen", variants)):
         r0_mean, r0_std = _mean_std([res.mean_r0 for res in batch])
         p_mean, p_std = _mean_std([res.total_profit for res in batch])
         stats.append((b, g, r0_mean, r0_std, p_mean, p_std))
@@ -309,9 +307,10 @@ def run_economic_sweep(spec: ExperimentSpec) -> list[dict]:
     For each family the numerator coefficient is set to ratio * denominator
     with the denominator held at its scenario value. The scenario's own
     ratio is inserted as a baseline marker row if not already listed.
-    Replicate seeds are shared across every cell, and epidemic dynamics do
-    not depend on the economics, so per-replicate profit differences across
-    ratio values are exact. Writes econ_sweep.csv.
+    Epidemic dynamics do not depend on the economics, so one batch of
+    `replicates` seasons is simulated and every cell prices those same
+    trajectories: per-replicate profit differences across ratio values are
+    exact. Writes econ_sweep.csv.
     """
     scenario = spec.scenario
     family_values = {
@@ -319,42 +318,33 @@ def run_economic_sweep(spec: ExperimentSpec) -> list[dict]:
         "price_discount_ratio": spec.price_discount_ratios,
         "grow_price_ratio": spec.grow_price_ratios,
     }
-    seeds = [derive_seed(spec.master_seed, "econ", i) for i in range(spec.replicates)]
-
-    cells = []
+    (batch,) = _replicates(spec, "econ", [scenario])
+    rows = []
     for family, values in family_values.items():
         numerator, denominator = RATIO_FAMILIES[family]
         base_ratio = getattr(scenario.economics, numerator) / getattr(
             scenario.economics, denominator
         )
-        merged = sorted(set(values) | {base_ratio})
-        for value in merged:
-            cells.append((family, value, value == base_ratio))
-
-    scenarios = [
-        replace(scenario, economics=_econ_with_ratio(scenario.economics, family, value), rng_seed=seed)
-        for (family, value, _) in cells
-        for seed in seeds
-    ]
-    results = _map_jobs(run, scenarios, spec.jobs)
-
-    rows = []
-    for c_idx, (family, value, is_base) in enumerate(cells):
-        batch = results[c_idx * spec.replicates : (c_idx + 1) * spec.replicates]
-        p_mean, p_std = _mean_std([res.total_profit for res in batch])
-        numerator, denominator = RATIO_FAMILIES[family]
-        rows.append(
-            {
-                "ratio_family": family,
-                "varied_key": numerator,
-                "fixed_key": denominator,
-                "ratio_value": value,
-                "is_baseline": int(is_base),
-                "mean_profit": p_mean,
-                "std_profit": p_std,
-                "n_reps": spec.replicates,
-            }
-        )
+        for value in sorted(set(values) | {base_ratio}):
+            econ = _econ_with_ratio(scenario.economics, family, value)
+            p_mean, p_std = _mean_std(
+                [
+                    economic_series(r.trajectory.n_t, econ, died_early=r.died_early).total_profit
+                    for r in batch
+                ]
+            )
+            rows.append(
+                {
+                    "ratio_family": family,
+                    "varied_key": numerator,
+                    "fixed_key": denominator,
+                    "ratio_value": value,
+                    "is_baseline": int(value == base_ratio),
+                    "mean_profit": p_mean,
+                    "std_profit": p_std,
+                    "n_reps": spec.replicates,
+                }
+            )
     _write_csv(spec.out_dir, "econ_sweep.csv", ECON_FIELDS, rows)
     return rows
 

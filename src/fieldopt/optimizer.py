@@ -24,6 +24,7 @@ import numpy as np
 
 from .analytics import _mean_std, paired_t_test
 from .epidemic import run
+from .field import lattice_size
 from .scenario import (
     FieldSpec,
     PlacementMode,
@@ -227,8 +228,14 @@ def optimize(
     on the scenario is dropped (the spacing under test determines the
     population). The best candidate is the one `select_best` picks: ties
     break toward the larger cell area dx*dy (sparser seeding), then
-    lexicographically.
+    lexicographically. The densest candidate lattice (min_spacing in
+    both axes) must have a finite plant count.
     """
+    lo = scenario.field.min_spacing_m
+    if not math.isfinite(lattice_size(scenario.field, lo, lo)):
+        raise ValidationError(
+            "invariant violated: densest candidate lattice has a finite plant count"
+        )
     base_seed = scenario.rng_seed if base_seed is None else base_seed
     dx, dy = _candidates(scenario.field, search, delta, budget, base_seed)
     if not len(dx):

@@ -120,9 +120,10 @@ class Scenario:
     """One fully specified season: geometry, pathogen, economics, strategy,
     horizon, initial-infection placement mode, and RNG seed.
 
-    explicit_count, when set, truncates the lattice to its first
-    explicit_count positions in row-major order (a population-size
-    override); it must fit within the lattice capacity.
+    The lattice may hold at most MAX_PLANTS plants. explicit_count, when
+    set, truncates it to its first explicit_count positions in row-major
+    order (a population-size override); it must fit within the lattice
+    capacity.
     """
 
     field: FieldSpec = dc_field(default_factory=FieldSpec)
@@ -137,11 +138,16 @@ class Scenario:
     def __post_init__(self):
         _require(self.horizon_steps >= 2, "horizon_steps >= 2")
         _require(0 <= self.rng_seed < 2**64, "0 <= rng_seed < 2**64")
+        from .field import MAX_PLANTS, lattice_size
+
+        size = lattice_size(self.field, self.strategy.dx_m, self.strategy.dy_m)
+        _require(
+            size <= MAX_PLANTS,
+            f"lattice capacity <= MAX_PLANTS ({MAX_PLANTS}), got {size:.7g}",
+        )
         if self.explicit_count is not None:
             _require(self.explicit_count >= 1, "explicit_count >= 1")
-            from .field import lattice_capacity
-
-            cap = lattice_capacity(self.field, self.strategy)
+            cap = int(size)
             _require(
                 self.explicit_count <= cap,
                 f"explicit_count <= grid capacity ({cap})",

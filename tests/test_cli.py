@@ -1,12 +1,18 @@
 import os
+import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fieldopt import write_scenario, scenario_default
-from fieldopt.cli import main
+from fieldopt import optimize, write_scenario, scenario_default
+from fieldopt import cli
+from fieldopt.cli import _evaluation_rows, main
+from fieldopt.harness import _write_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SMALL = [
     "--set", "field.width_m=2",
@@ -213,6 +219,92 @@ def test_jobs_flag_does_not_change_baseline(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sweep-pathogen", "--beta0-values", "0.001,0.003", "--gamma-values", "1/42,1/21"],
+        ["sweep-econ", "--grow-cost-ratios", "1", "--price-discount-ratios", "2",
+         "--grow-price-ratios", "0.01"],
+        ["compare", "--instances", "2", "--delta", "0.3"],
+    ],
+    ids=["sweep-pathogen", "sweep-econ", "compare"],
+)
+def test_jobs_flag_does_not_change_other_experiments(tmp_path, capsys, argv):
+    for jobs in ("1", "2"):
+        out = str(tmp_path / jobs)
+        assert main([*argv, "--reps", "3", "--jobs", jobs, "--out-dir", out]) == 0
+    capsys.readouterr()
+    names = sorted(path.name for path in (tmp_path / "1").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_experiment_options_set_the_spec_fields(monkeypatch, capsys):
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+    common = ["--jobs", "2", "--seed", "4", "--out-dir", "x"]
+    assert main(["compare", "--reps", "7", "--delta", "0.3", "--instances", "3", *common]) == 0
+    assert main(["baseline", "--reps", "5", "--sizes", "4,9", *common]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "wrote x/comparison.csv (0 rows)",
+        "wrote x/baseline.csv (0 rows)",
+    ]
+    compare, baseline = specs
+    # compare --reps sets both replicate counts
+    assert (compare.replicates, compare.comparison_reps) == (7, 7)
+    assert (compare.optimizer_delta, compare.instances) == (0.3, 3)
+    assert (baseline.replicates, baseline.comparison_reps, baseline.sizes) == (5, 10, (4, 9))
+    for spec in specs:
+        assert (spec.jobs, spec.master_seed, spec.out_dir) == (2, 4, "x")
+
+
+def test_evaluations_csv_is_streamed_from_the_columns(tmp_path):
+    base = scenario_default()
+    scenario = replace(base, field=replace(base.field, width_m=1.0, height_m=0.7))
+    result = optimize(scenario, delta=0.05)
+    fields = ["dx_m", "dy_m", "profit_estimate", "profit_std", "n_reps"]
+    rows = [{name: getattr(e, name) for name in fields} for e in result.evaluations]
+    expected = _write_csv(tmp_path / "a", "evaluations.csv", fields, rows).read_bytes()
+    assert len(result.dx_m) % 7  # the last block is a partial one
+    streamed = _write_csv(
+        tmp_path / "b", "evaluations.csv", fields, _evaluation_rows(result, block=7)
+    )
+    assert streamed.read_bytes() == expected
+
+
+def _readme_examples():
+    """(command, printed line) for every `$ fieldopt ...` line in the
+    README, with backslash continuations joined."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    examples = []
+    i = 0
+    while i < len(lines):
+        if lines[i].startswith("$ fieldopt "):
+            command = lines[i][2:]
+            while command.endswith("\\"):
+                i += 1
+                command = command[:-1] + lines[i].strip()
+            examples.append((command, lines[i + 1]))
+        i += 1
+    return examples
+
+
+@pytest.mark.parametrize("command,printed", _readme_examples())
+def test_readme_examples(tmp_path, monkeypatch, capsys, command, printed):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FIELDOPT_SEED", raising=False)
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out.strip() == printed
+
+
+def test_readme_has_examples_of_every_subcommand():
+    commands = {shlex.split(command)[1] for command, _ in _readme_examples()}
+    assert commands == {
+        "simulate", "optimize", "baseline", "sweep-pathogen", "sweep-econ", "compare"
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["sweep-pathogen", "--gamma-values", "1/0"],
         ["simulate", "--set", "field.width_m=inf"],
         ["optimize", "--delta", "1e-300"],
@@ -220,6 +312,13 @@ def test_jobs_flag_does_not_change_baseline(tmp_path, capsys):
         ["optimize", "--search", "montecarlo", "--budget", "10000000000"],
         ["simulate", "--set", "strategy.dx_m=inf"],
         ["simulate", "--set", "economics.sell_price=inf"],
+        ["simulate", "--jobs", "2"],
+        ["simulate", "--set", "strategy.dx_m=1e-320"],
+        ["simulate", "--set", "strategy.dx_m=1e-300"],
+        ["optimize", "--set", "field.width_m=1e300", "--set", "field.height_m=1e300",
+         "--delta", "1e299"],
+        ["optimize", "--set", "field.width_m=1e300", "--set", "field.height_m=1e300",
+         "--delta", "1e299", "--set", "strategy.dx_m=1e299", "--set", "strategy.dy_m=1e299"],
     ],
 )
 def test_bad_numbers_exit_1_without_traceback(argv):

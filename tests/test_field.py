@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from fieldopt import (
     neighbors_within,
     spacing_from_count,
 )
+from fieldopt.field import lattice_size
 
 
 def test_lattice_shape_examples():
@@ -71,6 +74,25 @@ def test_capacity_matches_materialized_count(width, height, dx, dy):
         return
     grid = layout_grid(field, strategy)
     assert grid.count == lattice_capacity(field, strategy)
+
+
+@given(
+    st.floats(0.5, 1000.0),
+    st.floats(0.5, 1000.0),
+    st.floats(0.05, 2.0),
+    st.floats(0.05, 2.0),
+)
+@example(0.7, 0.3, 0.1, 0.1)  # 0.7 / 0.1 and 0.3 / 0.1 land just below 7 and 3
+def test_lattice_size_is_capacity_as_float(width, height, dx, dy):
+    field = FieldSpec(width_m=width, height_m=height)
+    assert lattice_size(field, dx, dy) == lattice_capacity(field, SeedingStrategy(dx, dy))
+
+
+def test_lattice_size_overflows_to_inf():
+    field = FieldSpec(width_m=100.0, height_m=100.0)
+    assert lattice_size(field, 1e-320, 0.2) == math.inf
+    assert lattice_size(field, 1e-300, 1e-300) == math.inf
+    assert lattice_size(FieldSpec(width_m=1e300, height_m=1e300), 0.1, 0.1) == math.inf
 
 
 def test_spacing_from_count_examples():

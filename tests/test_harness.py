@@ -9,15 +9,20 @@ from fieldopt import (
     ExperimentSpec,
     FieldSpec,
     PathogenParams,
+    SeedingStrategy,
     ValidationError,
+    derive_seed,
     desk_scenario,
     lattice_capacity,
+    run,
     run_baseline,
     run_economic_sweep,
     run_experiment,
     run_optimal_comparison,
     run_pathogen_sweep,
 )
+from fieldopt import harness
+from fieldopt.analytics import _mean_std
 
 GAMMAS = (1 / 42, 1 / 21)
 
@@ -137,6 +142,84 @@ def test_economic_sweep_varied_and_fixed_keys(tmp_path):
     assert by_family["grow_cost_ratio"]["fixed_key"] == "grow_overhead_coeff"
     assert by_family["price_discount_ratio"]["varied_key"] == "sell_price"
     assert by_family["grow_price_ratio"]["fixed_key"] == "sell_price"
+
+
+SMALL_RATIOS = dict(
+    grow_cost_ratios=(1.0, 2.0),
+    price_discount_ratios=(2.0, 4.0),
+    grow_price_ratios=(0.005, 0.01),
+)
+
+
+def _small_scenario(**kwargs):
+    sc = desk_scenario()
+    return replace(sc, field=replace(sc.field, width_m=3.0, height_m=3.0), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        _small_scenario(),
+        # removals within the season, so n_t differs between replicates
+        _small_scenario(
+            pathogen=PathogenParams(beta0=0.3, gamma=0.5), horizon_steps=5
+        ),
+        # spacing below the minimum: every replicate dies early
+        _small_scenario(strategy=SeedingStrategy(0.05, 0.05)),
+    ],
+    ids=["desk", "removals", "died-early"],
+)
+def test_economic_sweep_equals_simulating_every_cell(tmp_path, scenario):
+    spec = _spec(tmp_path, scenario=scenario, replicates=3, **SMALL_RATIOS)
+    rows = run_economic_sweep(spec)
+    assert len(rows) == 9
+    for row in rows:
+        # What the sweep did before it shared one batch: simulate the cell.
+        econ = harness._econ_with_ratio(
+            scenario.economics, row["ratio_family"], row["ratio_value"]
+        )
+        profits = [
+            run(
+                replace(
+                    scenario,
+                    economics=econ,
+                    rng_seed=derive_seed(spec.master_seed, "econ", i),
+                )
+            ).total_profit
+            for i in range(spec.replicates)
+        ]
+        assert (row["mean_profit"], row["std_profit"]) == _mean_std(profits)
+
+
+def test_economic_sweep_simulates_each_seed_once(tmp_path, monkeypatch):
+    seeds = []
+    real_run = harness.run
+
+    def counting_run(scenario):
+        seeds.append(scenario.rng_seed)
+        return real_run(scenario)
+
+    monkeypatch.setattr(harness, "run", counting_run)
+    spec = _spec(tmp_path, replicates=4, **SMALL_RATIOS)
+    rows = run_economic_sweep(spec)
+    assert len(rows) == 9
+    assert seeds == [derive_seed(spec.master_seed, "econ", i) for i in range(4)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_replicates_share_seeds_across_cells(tmp_path, jobs):
+    spec = _spec(tmp_path, replicates=3, jobs=jobs)
+    cells = [
+        _small_scenario(),
+        _small_scenario(pathogen=PathogenParams(beta0=0.3, gamma=0.5)),
+    ]
+    batches = harness._replicates(spec, "label", cells)
+    assert len(batches) == len(cells)
+    for cell, batch in zip(cells, batches):
+        assert batch == [
+            run(replace(cell, rng_seed=derive_seed(spec.master_seed, "label", i)))
+            for i in range(spec.replicates)
+        ]
 
 
 # -- optimal-vs-default comparison -------------------------------------------

@@ -538,3 +538,14 @@ def test_compare_strategies_needs_replication():
             optimal_strategy=SeedingStrategy(0.3, 0.3),
             n_reps=1,
         )
+
+
+def test_densest_candidate_lattice_must_be_finite():
+    # The scenario's own lattice is 11 x 11, but the candidates reach
+    # min_spacing, where (1e300 / 0.1)**2 plants overflow to inf.
+    scenario = Scenario(
+        field=FieldSpec(width_m=1e300, height_m=1e300),
+        strategy=SeedingStrategy(1e299, 1e299),
+    )
+    with pytest.raises(ValidationError, match="densest candidate lattice"):
+        optimize(scenario, delta=1e299)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fieldopt import (
+    MAX_PLANTS,
     EconomicParams,
     FieldSpec,
     PathogenParams,
@@ -16,6 +17,7 @@ from fieldopt import (
     ValidationError,
     apply_overrides,
     dumps_scenario,
+    lattice_capacity,
     load_scenario,
     scenario_default,
     write_scenario,
@@ -223,3 +225,19 @@ def test_float_round_trip_is_exact(tmp_path):
     loaded = load_scenario(path)
     assert loaded.pathogen.gamma == sc.pathogen.gamma
     assert math.isclose(loaded.pathogen.beta0, 0.003, rel_tol=0, abs_tol=0)
+
+
+def test_lattice_capacity_is_capped():
+    assert MAX_PLANTS == 20_000_000
+    # 5001 x 5001 plants at the default 0.2 m spacing
+    with pytest.raises(ValidationError, match="MAX_PLANTS"):
+        Scenario(field=FieldSpec(width_m=1000.0, height_m=1000.0))
+    sc = Scenario(field=FieldSpec(width_m=894.4, height_m=894.0))
+    assert lattice_capacity(sc.field, sc.strategy) == 4473 * 4471 == 19_998_783
+
+
+@pytest.mark.parametrize("dx", [1e-300, 1e-320])
+def test_tiny_spacing_is_rejected_by_name(dx):
+    # 1e-320 overflows the count to inf; 1e-300 gives a finite 1e304
+    with pytest.raises(ValidationError, match="MAX_PLANTS"):
+        replace(scenario_default(), strategy=SeedingStrategy(dx_m=dx, dy_m=0.2))
