@@ -10,6 +10,13 @@ distance mask, applied only when it is shorter than the field diagonal.
 The pressure sum runs over susceptible targets only, so one round costs
 O(I * S) pair evaluations for I infected and S susceptible plants.
 
+A round with many susceptible targets is split into contiguous slices of
+them, one per CPU in the process's affinity mask, that run on threads
+(numpy releases the GIL inside its loops). Each target's product is still
+formed over the start-of-round infected in ascending index order, with the
+same float operations, and every RNG draw is made in the calling thread
+after the slices join, so the output does not depend on the CPU count.
+
 The RNG consumption order is part of the engine contract so trajectories
 are reproducible: first one removal draw per start-of-round infected plant
 in ascending index order, then one infection draw per susceptible plant
@@ -21,6 +28,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,14 @@ from .economics import EconomicSeries, economic_series
 from .field import PlantGrid, lattice_capacity, layout_grid
 from .scenario import PathogenParams, PlacementMode, Scenario, ValidationError
 from .worstcase import kcenter_greedy
+
+# Fewest susceptible targets a slice of one round's infection kernel may
+# hold; a round is split across CPUs only when every slice gets this many.
+# With 3 infected plants on a 2-vCPU VM, two threads against one ran 0.97x
+# on slices of 8,192 targets, 1.17x on 16,384 and 1.37x on 32,768; the
+# thread start and join cost is paid per round, so the smallest infected
+# sets break even on the largest slices.
+MIN_SLICE = 1 << 15
 
 
 class Status(enum.IntEnum):
@@ -155,6 +172,14 @@ def place_initial_infected(
     return np.sort(rng.choice(grid.count, size=k, replace=False).astype(np.int64))
 
 
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask (all CPUs on platforms
+    without one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _survival(
     grid: PlantGrid,
     targets: np.ndarray,
@@ -163,26 +188,56 @@ def _survival(
     cutoff: float,
 ) -> np.ndarray:
     """prod_i (1 - min(1, beta0 / d_ij)) for each target j over the
-    infected i within the cutoff; exactly 1.0 where no pair reaches j."""
+    infected i within the cutoff; exactly 1.0 where no pair reaches j.
+
+    The targets are cut into contiguous slices, at most one per CPU and
+    none shorter than MIN_SLICE; the first runs in the calling thread and
+    the others on threads joined before this returns. Every buffer is
+    allocated here, and each slice works in its own views of them.
+    """
+    n = targets.size
     xs = grid.positions[targets, 0]
     ys = grid.positions[targets, 1]
-    survival = np.ones(targets.size)
-    dist = np.empty_like(survival)
-    keep = np.empty_like(survival)  # scratch; each pass ends with 1 - p in it
-    truncating = cutoff < grid.span_m
+    survival = np.ones(n)
+    dist = np.empty(n)
+    keep = np.empty(n)  # scratch; each pass ends with 1 - p in it
+    far = np.empty(n, dtype=bool) if cutoff < grid.span_m else None
+    sources = grid.positions[infected].tolist()
+
+    def run_slice(a: int, b: int) -> None:
+        _survival_slice(
+            xs[a:b], ys[a:b], sources, beta0, cutoff,
+            survival[a:b], dist[a:b], keep[a:b], None if far is None else far[a:b],
+        )
+
+    slices = max(1, min(_cpu_count(), n // MIN_SLICE))
+    bounds = [k * n // slices for k in range(slices + 1)]
+    with ThreadPoolExecutor(max_workers=max(1, slices - 1)) as pool:
+        rest = [pool.submit(run_slice, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+        run_slice(bounds[0], bounds[1])
+        for future in rest:
+            future.result()
+    return survival
+
+
+def _survival_slice(xs, ys, sources, beta0, cutoff, survival, dist, keep, far) -> None:
+    """survival *= prod_i (1 - min(1, beta0 / d_ij)) over the (x, y) rows
+    of `sources`, in order; `dist`, `keep` and `far` are scratch, and
+    `far` is None when no pair lies beyond the cutoff. Only numpy runs
+    here: this is the body of a slice thread."""
     # Infected plants in ascending order, so each target's product is
     # formed in the same order as a sum over all plants would form it.
-    for x, y in grid.positions[infected]:
+    for x, y in sources:
         np.subtract(xs, x, out=dist)
         np.subtract(ys, y, out=keep)
         np.hypot(dist, keep, out=dist)
         np.divide(beta0, dist, out=keep)
         np.minimum(1.0, keep, out=keep)
-        if truncating:
-            np.copyto(keep, 0.0, where=dist > cutoff)
+        if far is not None:
+            np.greater(dist, cutoff, out=far)
+            np.copyto(keep, 0.0, where=far)
         np.subtract(1.0, keep, out=keep)
-        survival *= keep
-    return survival
+        np.multiply(survival, keep, out=survival)
 
 
 def _draw_infections(

@@ -116,10 +116,14 @@ def layout_grid(
     positions[:, 1] = np.tile(ys, nx)
     if explicit_count is not None:
         positions = positions[:explicit_count]
-    # np.hypot, as for pair distances, so no pair distance exceeds span_m.
-    extent = positions.max(axis=0) - positions.min(axis=0)
-    span = float(np.hypot(extent[0], extent[1]))
-    return PlantGrid(positions=positions, count=len(positions), span_m=span)
+    # The bounding box of a row-major prefix of c plants, from the axes:
+    # x runs up to row (c - 1) // ny, y up to column min(c, ny) - 1. Both
+    # axes ascend from 0, so these are the extents positions.max(axis=0) -
+    # positions.min(axis=0) would give. np.hypot, as for pair distances,
+    # so no pair distance exceeds span_m.
+    c = len(positions)
+    span = float(np.hypot(xs[(c - 1) // ny] - xs[0], ys[min(c, ny) - 1] - ys[0]))
+    return PlantGrid(positions=positions, count=c, span_m=span)
 
 
 def spacing_from_count(field: FieldSpec, n: int) -> SeedingStrategy:

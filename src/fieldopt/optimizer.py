@@ -229,7 +229,8 @@ def optimize(
     population). The best candidate is the one `select_best` picks: ties
     break toward the larger cell area dx*dy (sparser seeding), then
     lexicographically. The densest candidate lattice (min_spacing in
-    both axes) must have a finite plant count.
+    both axes) must have a finite plant count, and every candidate a
+    finite profit.
     """
     lo = scenario.field.min_spacing_m
     if not math.isfinite(lattice_size(scenario.field, lo, lo)):
@@ -243,16 +244,18 @@ def optimize(
 
     if mode is ScoreMode.ANALYTIC:
         profit = np.empty(len(dx))
-        for start in range(0, len(dx), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            profit[block] = analytic_profits(
-                scenario.field,
-                dx[block],
-                dy[block],
-                scenario.pathogen,
-                scenario.economics,
-                scenario.horizon_steps,
-            )
+        # Prices that overflow are caught by the finiteness check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(dx), _BLOCK):
+                block = slice(start, start + _BLOCK)
+                profit[block] = analytic_profits(
+                    scenario.field,
+                    dx[block],
+                    dy[block],
+                    scenario.pathogen,
+                    scenario.economics,
+                    scenario.horizon_steps,
+                )
         std = np.zeros(len(dx))
         reps = 0
     else:
@@ -268,6 +271,12 @@ def optimize(
         ]
         profit, std = (np.array(column) for column in zip(*scores))
         reps = n_reps
+    overflowed = np.count_nonzero(~np.isfinite(profit))
+    if overflowed:
+        raise ValidationError(
+            f"invariant violated: every candidate's profit is finite "
+            f"({overflowed} of {len(dx)} overflow)"
+        )
     best = _best_index(dx, dy, profit)
     for column in (dx, dy, profit, std):
         column.flags.writeable = False

@@ -183,3 +183,30 @@ def test_span_bounds_every_pair_distance(width, height, dx, dy, probe):
         far = grid.neighbor_arrays(0, np.inf)[1][-1]  # plant 0 to the last corner
         assert far == grid.span_m
 
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(10, 100),
+    st.integers(10, 100),
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.booleans(),
+    st.sampled_from(["1", "ny - 1", "ny", "ny + 1", "all"]),
+)
+# 7 * 0.1 overshoots 0.7, so the last row is clamped back to the width
+@example(10, 10, 7, 7, True, "all")
+@example(10, 30, 7, 3, True, "ny + 1")
+def test_span_is_the_bounding_box_diagonal(dx_cm, dy_cm, kx, ky, multiple, prefix):
+    # Fields k spacings wide, written as decimals, clamp their boundary
+    # rows wherever k * spacing rounds above the decimal.
+    dx, dy = dx_cm / 100, dy_cm / 100
+    width = kx * dx_cm / 100 if multiple else kx * dx + dx / 3
+    height = ky * dy_cm / 100 if multiple else ky * dy + dy / 3
+    field, strategy = FieldSpec(width, height), SeedingStrategy(dx, dy)
+    nx, ny = lattice_shape(field, strategy)
+    count = {"1": 1, "ny - 1": ny - 1, "ny": ny, "ny + 1": ny + 1, "all": nx * ny}[prefix]
+    count = min(max(count, 1), nx * ny)
+    grid = layout_grid(field, strategy, count)
+    extent = grid.positions.max(axis=0) - grid.positions.min(axis=0)
+    assert grid.span_m == float(np.hypot(extent[0], extent[1]))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -549,3 +550,16 @@ def test_densest_candidate_lattice_must_be_finite():
     )
     with pytest.raises(ValidationError, match="densest candidate lattice"):
         optimize(scenario, delta=1e299)
+
+
+def test_every_candidate_profit_must_be_finite():
+    # (1e153 / 0.1)**2 = 1e308 plants is a finite count, but selling them
+    # at 5.32 each overflows.
+    scenario = Scenario(
+        field=FieldSpec(width_m=1e153, height_m=1e153),
+        strategy=SeedingStrategy(1e152, 1e152),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes either
+        with pytest.raises(ValidationError, match="every candidate's profit is finite"):
+            optimize(scenario, delta=1e152)
