@@ -11,11 +11,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .scenario import ValidationError
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """The sum of floats added left to right from 0.0, rounding once per
+    addition. The builtin sum() does this up to Python 3.11 and
+    compensates its rounding from 3.12 on, which moves the last bits of
+    some means; every sum of Python floats in the package goes through
+    here, so outputs do not depend on the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -43,7 +55,7 @@ def r0_series(i_count: Sequence[float], r_count: Sequence[float]) -> R0Series:
         di = i_count[t + 1] - i_count[t]
         dr = r_count[t + 1] - r_count[t]
         values.append(di / dr if dr > 0 else float(di))
-    return R0Series(tuple(values), sum(values) / len(values))
+    return R0Series(tuple(values), sum_in_order(values) / len(values))
 
 
 @dataclass(frozen=True)
@@ -172,8 +184,8 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     if n < 2:
         raise ValidationError("invariant violated: series length >= 2")
     diffs = [float(x) - float(y) for x, y in zip(a, b)]
-    mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    mean = sum_in_order(diffs) / n
+    var = sum_in_order((d - mean) ** 2 for d in diffs) / (n - 1)
     if var == 0.0:
         raise ValidationError("invariant violated: nonzero variance of differences")
     t_stat = mean / math.sqrt(var / n)
@@ -192,10 +204,10 @@ class ReplicateSummary:
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
-    mean = sum(values) / n
+    mean = sum_in_order(values) / n
     if n == 1:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = sum_in_order((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)
 
 

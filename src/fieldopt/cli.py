@@ -29,9 +29,9 @@ from .optimizer import ScoreMode, SearchMethod, optimize
 from .scenario import (
     ScenarioParseError,
     ValidationError,
-    _parse_float,
     apply_overrides,
     load_scenario,
+    parse_float,
     scenario_default,
 )
 
@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part) for part in text.split(",") if part.strip())
+    return tuple(parse_float(part) for part in text.split(",") if part.strip())
 
 
 def _int_list(text: str) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .analytics import sum_in_order
 from .scenario import EconomicParams, ValidationError
 
 
@@ -96,13 +97,13 @@ def economic_series(
 
     if died_early:
         outputs = [-seeding_cost(n_initial, econ)] + [0.0] * (t_final - 1)
-        return EconomicSeries(tuple(outputs), _add_rounds(outputs))
+        return EconomicSeries(tuple(outputs), sum_in_order(outputs))
 
     outputs = [
         _round_output(t, t_final, n, math.log(n), econ) if n >= 1 else 0.0
         for t, n in enumerate(n_t, start=1)
     ]
-    return EconomicSeries(tuple(outputs), _add_rounds(outputs))
+    return EconomicSeries(tuple(outputs), sum_in_order(outputs))
 
 
 def total_profits(n_t: np.ndarray, econ: EconomicParams) -> np.ndarray:
@@ -139,11 +140,3 @@ def _round_output(t: int, t_final: int, n, log_n, econ: EconomicParams):
         econ.harvest_per_plant, econ.harvest_overhead_coeff, n, log_n
     )
 
-
-def _add_rounds(outputs: Sequence[float]) -> float:
-    # Left to right, as total_profits adds its rows (sum() compensates its
-    # rounding from Python 3.12 on).
-    total = 0.0
-    for value in outputs:
-        total += value
-    return total

@@ -32,15 +32,18 @@ _SNAP = 1e-9
 MAX_PLANTS = 20_000_000
 
 
-def _axis_points(length: float, spacing: float) -> int:
-    return int(math.floor(length / spacing + _SNAP)) + 1
+def axis_count(length, spacing):
+    """Lattice points along one axis, floor(length / spacing) + 1 with the
+    ratio snapped up by _SNAP. Scalars or arrays in, floats out: a tiny
+    spacing overflows the count to inf instead of raising."""
+    return np.floor(length / spacing + _SNAP) + 1.0
 
 
 def lattice_shape(field: FieldSpec, strategy: SeedingStrategy) -> tuple[int, int]:
     """Lattice dimensions (points along x, points along y)."""
     return (
-        _axis_points(field.width_m, strategy.dx_m),
-        _axis_points(field.height_m, strategy.dy_m),
+        int(axis_count(field.width_m, strategy.dx_m)),
+        int(axis_count(field.height_m, strategy.dy_m)),
     )
 
 
@@ -52,17 +55,13 @@ def lattice_capacity(field: FieldSpec, strategy: SeedingStrategy) -> int:
 def lattice_size(field: FieldSpec, dx: float, dy: float) -> float:
     """The lattice capacity at spacing (dx, dy), counted in floats: inf
     where a tiny spacing overflows it, so it never raises."""
-    nx = float(np.floor(field.width_m / dx + _SNAP)) + 1.0
-    ny = float(np.floor(field.height_m / dy + _SNAP)) + 1.0
-    return nx * ny
+    return float(axis_count(field.width_m, dx)) * float(axis_count(field.height_m, dy))
 
 
 def lattice_capacities(field: FieldSpec, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """`lattice_capacity` for arrays of spacings, as float64: equal to
     float(lattice_capacity(...)) while each axis count is below 2**53."""
-    nx = np.floor(field.width_m / dx + _SNAP) + 1.0
-    ny = np.floor(field.height_m / dy + _SNAP) + 1.0
-    return nx * ny
+    return axis_count(field.width_m, dx) * axis_count(field.height_m, dy)
 
 
 @dataclass(frozen=True, eq=False)

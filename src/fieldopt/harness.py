@@ -21,10 +21,12 @@ from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
+from . import epidemic
 from .analytics import _mean_std, fit_plane, paired_t_test
 from .economics import economic_series
 from .epidemic import run
@@ -130,11 +132,15 @@ class ExperimentSpec:
 
 
 def _map_jobs(fn, items, jobs: int) -> list:
+    """fn over items, in order, on at most `jobs` worker processes. The pool
+    forks all its workers at once, so there are never more of them than
+    items or CPUs in the affinity mask."""
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items), epidemic._cpu_count())
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(items) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(items) // (workers * 4))
         return list(pool.map(fn, items, chunksize=chunk))
 
 
@@ -189,15 +195,16 @@ def run_baseline(spec: ExperimentSpec) -> list[dict]:
     ]
     rows = []
     for size, batch in zip(spec.sizes, _replicates(spec, "baseline", cells)):
+        # Running totals from 0.0: entry t is the profit through round t.
+        cumulative = [
+            list(accumulate(res.economics.per_round_output, initial=0.0)) for res in batch
+        ]
         for t in range(1, horizon + 1):
             if t < horizon:
                 r0_mean, r0_std = _mean_std([res.r0.r0_t[t - 1] for res in batch])
             else:
                 r0_mean = r0_std = None
-            cumulative = [
-                sum(res.economics.per_round_output[:t]) for res in batch
-            ]
-            p_mean, p_std = _mean_std(cumulative)
+            p_mean, p_std = _mean_std([totals[t] for totals in cumulative])
             rows.append(
                 {
                     "t": t,

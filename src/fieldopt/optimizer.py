@@ -24,7 +24,7 @@ import numpy as np
 
 from .analytics import _mean_std, paired_t_test
 from .epidemic import run
-from .field import lattice_size
+from .field import axis_count, lattice_size
 from .scenario import (
     FieldSpec,
     PlacementMode,
@@ -124,8 +124,8 @@ def _grid_axes(field: FieldSpec, delta: float) -> tuple[np.ndarray, np.ndarray]:
     limits = (field.width_m, field.height_m)
     if min(limits) < lo:
         return np.empty(0), np.empty(0)
-    # Floats, since a tiny delta can overflow the step count to inf.
-    points = [float(np.floor((limit - lo) / delta + 1e-9)) + 1.0 for limit in limits]
+    # Python floats, so an overflowing product is inf without a numpy warning.
+    points = [float(axis_count(limit - lo, delta)) for limit in limits]
     _check_count(points[0] * points[1])
     # Clamp the last value back onto the limit against float drift.
     xs, ys = (

@@ -6,9 +6,12 @@ horizon, and the RNG seed. All types are frozen dataclasses; a Scenario
 that constructs successfully satisfies every invariant, so downstream
 modules never re-validate.
 
-Scenario files are flat INI-style key/value text with sections [field],
-[pathogen], [economics], [strategy], and [run]; any omitted key falls back
-to the default parameterization (see `scenario_default`).
+Scenario files are flat INI-style key/value text. The sections and keys
+are the dataclass fields, in declaration order: [field], [pathogen],
+[economics] and [strategy] hold the fields of their classes, and [run]
+the other Scenario fields. Any omitted key falls back to the default
+parameterization (see `scenario_default`). A file is read as "--set"
+overrides of the default, through `apply_overrides`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import configparser
 import enum
 import math
-from dataclasses import dataclass, field as dc_field, fields, replace
+from dataclasses import dataclass, field as dc_field, fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 
 class ValidationError(ValueError):
@@ -164,27 +168,26 @@ def scenario_default() -> Scenario:
 # File format
 
 
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "field": ("width_m", "height_m", "min_spacing_m"),
-    "pathogen": ("beta0", "gamma", "initial_infected"),
-    "economics": (
-        "seed_per_plant",
-        "seed_overhead_coeff",
-        "grow_per_plant",
-        "grow_overhead_coeff",
-        "harvest_per_plant",
-        "harvest_overhead_coeff",
-        "sell_price",
-        "sell_discount",
-    ),
-    "strategy": ("dx_m", "dy_m"),
-    "run": ("horizon_steps", "placement_mode", "rng_seed", "explicit_count"),
-}
-
-_INT_KEYS = {"initial_infected", "horizon_steps", "rng_seed", "explicit_count"}
+def _key_types(cls) -> dict[str, type]:
+    """A dataclass's fields in declaration order, each mapped to the type
+    its value is parsed as."""
+    hints = get_type_hints(cls)
+    types = {}
+    for f in fields(cls):
+        # X | None is parsed as X: a file cannot spell None.
+        args = [t for t in get_args(hints[f.name]) if t is not type(None)]
+        types[f.name] = args[0] if args else hints[f.name]
+    return types
 
 
-def _parse_float(text: str) -> float:
+# The file schema, read from the dataclasses: one section per dataclass
+# field of Scenario, named after it and holding that class's keys, then
+# [run] for the other Scenario fields.
+_SCHEMA = {k: _key_types(t) for k, t in _key_types(Scenario).items() if is_dataclass(t)}
+_SCHEMA["run"] = {k: t for k, t in _key_types(Scenario).items() if k not in _SCHEMA}
+
+
+def parse_float(text: str) -> float:
     """Plain literals and simple fractions ("1/42") for rates; any bad
     literal, a zero denominator included, raises ScenarioParseError."""
     try:
@@ -196,16 +199,14 @@ def _parse_float(text: str) -> float:
         raise ScenarioParseError(f"bad number: {text!r}") from exc
 
 
-def _coerce(key: str, text: str):
+def _coerce(dotted: str, kind: type, text: str):
     text = text.strip()
     try:
-        if key == "placement_mode":
-            return PlacementMode(text.lower())
-        if key in _INT_KEYS:
-            return int(text)
-        return _parse_float(text)
+        if issubclass(kind, enum.Enum):
+            return kind(text.lower())
+        return parse_float(text) if kind is float else kind(text)
     except ValueError as exc:
-        raise ScenarioParseError(f"bad value for {key!r}: {text!r}") from exc
+        raise ScenarioParseError(f"bad value for {dotted!r}: {text!r}") from exc
 
 
 def load_scenario(path) -> Scenario:
@@ -221,23 +222,12 @@ def load_scenario(path) -> Scenario:
     except configparser.Error as exc:
         raise ScenarioParseError(f"cannot parse {path}: {exc}") from exc
 
-    values: dict[str, dict] = {section: {} for section in _SECTIONS}
+    overrides = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SCHEMA:
             raise ScenarioParseError(f"unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SECTIONS[section]:
-                raise ScenarioParseError(f"unknown key {key!r} in [{section}]")
-            values[section][key] = _coerce(key, raw)
-
-    run = values["run"]
-    return Scenario(
-        field=FieldSpec(**values["field"]),
-        pathogen=PathogenParams(**values["pathogen"]),
-        economics=EconomicParams(**values["economics"]),
-        strategy=SeedingStrategy(**values["strategy"]),
-        **run,
-    )
+        overrides.update((f"{section}.{key}", raw) for key, raw in parser.items(section))
+    return apply_overrides(Scenario(), overrides)
 
 
 def apply_overrides(scenario: Scenario, overrides: dict[str, str]) -> Scenario:
@@ -248,22 +238,19 @@ def apply_overrides(scenario: Scenario, overrides: dict[str, str]) -> Scenario:
     by_section: dict[str, dict] = {}
     for dotted, raw in overrides.items():
         section, _, key = dotted.partition(".")
-        if section not in _SECTIONS or key not in _SECTIONS[section]:
+        kind = _SCHEMA.get(section, {}).get(key)
+        if kind is None:
             raise ScenarioParseError(f"unknown scenario key {dotted!r}")
-        by_section.setdefault(section, {})[key] = _coerce(key, raw)
+        by_section.setdefault(section, {})[key] = _coerce(dotted, kind, raw)
 
-    parts = {}
+    parts = by_section.pop("run", {})
     for section, kv in by_section.items():
-        if section == "run":
-            parts.update(kv)
-        else:
-            attr = "field" if section == "field" else section
-            parts[attr] = replace(getattr(scenario, attr), **kv)
+        parts[section] = replace(getattr(scenario, section), **kv)
     return replace(scenario, **parts)
 
 
 def _format_value(value) -> str:
-    if isinstance(value, PlacementMode):
+    if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, float):
         return repr(value)
@@ -272,25 +259,15 @@ def _format_value(value) -> str:
 
 def dumps_scenario(scenario: Scenario) -> str:
     """Render a scenario in the file format (inverse of `load_scenario`)."""
-    groups = {
-        "field": scenario.field,
-        "pathogen": scenario.pathogen,
-        "economics": scenario.economics,
-        "strategy": scenario.strategy,
-    }
     lines = []
-    for section, obj in groups.items():
+    for section, keys in _SCHEMA.items():
+        group = scenario if section == "run" else getattr(scenario, section)
         lines.append(f"[{section}]")
-        for key in _SECTIONS[section]:
-            lines.append(f"{key} = {_format_value(getattr(obj, key))}")
+        for key in keys:
+            value = getattr(group, key)
+            if value is not None:
+                lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
-    lines.append("[run]")
-    for key in _SECTIONS["run"]:
-        value = getattr(scenario, key)
-        if value is None:
-            continue
-        lines.append(f"{key} = {_format_value(value)}")
-    lines.append("")
     return "\n".join(lines)
 
 

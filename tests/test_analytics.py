@@ -16,6 +16,7 @@ from fieldopt import (
     regularized_incomplete_beta,
     summarize_replicates,
 )
+from fieldopt.analytics import sum_in_order
 
 
 def test_r0_series_examples():
@@ -185,3 +186,10 @@ def test_summarize_single_replicate_has_zero_std():
 def test_summarize_requires_results():
     with pytest.raises(ValidationError):
         summarize_replicates([])
+
+
+def test_sum_in_order_adds_left_to_right():
+    assert sum_in_order([1e16, 1.0, -1e16]) == 0.0  # a compensated sum gives 1.0
+    assert sum_in_order(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert sum_in_order([]) == 0.0
+    assert math.copysign(1.0, sum_in_order([-0.0])) == 1.0  # from 0.0, as sum()

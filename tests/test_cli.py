@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shlex
 import subprocess
@@ -254,6 +255,36 @@ def test_experiment_options_set_the_spec_fields(monkeypatch, capsys):
     assert (baseline.replicates, baseline.comparison_reps, baseline.sizes) == (5, 10, (4, 9))
     for spec in specs:
         assert (spec.jobs, spec.master_seed, spec.out_dir) == (2, 4, "x")
+
+
+# The sha256 of every CSV the CLI writes, at small fixed settings. Recorded
+# before the scenario schema, the float sums and the lattice counts were
+# refactored; any changed output byte fails here.
+_PINNED_RUNS = [
+    ["baseline", "--reps", "20"],
+    ["sweep-pathogen", "--reps", "5"],
+    ["sweep-econ", "--reps", "20"],
+    ["compare", "--instances", "4", "--reps", "4", "--delta", "0.2"],
+    ["optimize", *SMALL, "--delta", "0.05"],
+]
+_PINNED_SHA256 = {
+    "baseline.csv": "539097ac9a089d93d9a170b1c4ef1e28fe28e63f39d850b6ef9663e18458cf88",
+    "comparison.csv": "e3cc8a2bc6b3d5732f7f4c1f2df3dde9e52853489a0e5aa05e05400cce04f4d0",
+    "econ_sweep.csv": "82c5a59b0ebb4ed7a33c1873667b13f7db7e1ed5640c301d0d8b16e9fa926f36",
+    "evaluations.csv": "15269f3316bf72da3bb906287f73c613f24d40b33d98744c97a65498ab89643f",
+    "fits.csv": "04df9f16f21ffc595e0f4a20842acdd2c0d5b4ab82d06fcc5b209bbcee7ac326",
+    "pathogen_sweep.csv": "605b31e1823a5655fd663bb30d96c46854f1780df609674bedfcc63dc6b41c50",
+}
+
+
+def test_csv_bytes_are_pinned(tmp_path, capsys):
+    for argv in _PINNED_RUNS:
+        assert main([*argv, "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+    }
+    assert digests == _PINNED_SHA256
 
 
 def test_evaluations_csv_is_streamed_from_the_columns(tmp_path):

@@ -15,7 +15,7 @@ from fieldopt import (
     neighbors_within,
     spacing_from_count,
 )
-from fieldopt.field import lattice_size
+from fieldopt.field import axis_count, lattice_size
 
 
 def test_lattice_shape_examples():
@@ -210,3 +210,12 @@ def test_span_is_the_bounding_box_diagonal(dx_cm, dy_cm, kx, ky, multiple, prefi
     grid = layout_grid(field, strategy, count)
     extent = grid.positions.max(axis=0) - grid.positions.min(axis=0)
     assert grid.span_m == float(np.hypot(extent[0], extent[1]))
+
+
+def test_axis_count_takes_scalars_and_arrays():
+    assert axis_count(100.0, 0.2) == 501.0  # 100 / 0.2 is a hair below 500
+    lengths, spacings = [100.0, 0.7, 10.0, 1e300], [0.2, 0.1, 3.0, 1e-300]
+    with np.errstate(over="ignore"):
+        counts = axis_count(np.array(lengths), np.array(spacings))
+    assert counts.tolist() == [axis_count(a, b) for a, b in zip(lengths, spacings)]
+    assert counts.tolist() == [501.0, 8.0, 4.0, math.inf]

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 from dataclasses import replace
 
 import pytest
@@ -21,7 +23,8 @@ from fieldopt import (
     run_optimal_comparison,
     run_pathogen_sweep,
 )
-from fieldopt import harness
+import fieldopt
+from fieldopt import epidemic, harness
 from fieldopt.analytics import _mean_std
 
 GAMMAS = (1 / 42, 1 / 21)
@@ -264,3 +267,81 @@ def test_csv_floats_use_nine_significant_digits(tmp_path):
     first_profit = lines[1].split(",")[profit_col]
     assert first_profit == f"{rows[0]['mean_profit']:.9g}"
     assert float(first_profit) == pytest.approx(rows[0]["mean_profit"], rel=1e-8)
+
+
+class _NoProcessPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it is
+    asked for and maps in this process, so no process is ever started."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def _count_pools(monkeypatch, cpus):
+    sizes = []
+    monkeypatch.setattr(
+        harness, "ProcessPoolExecutor", lambda max_workers: _NoProcessPool(sizes, max_workers)
+    )
+    monkeypatch.setattr(epidemic, "_cpu_count", lambda: cpus)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "items,cpus,workers",
+    [(5, 3, 3), (2, 8, 2), (40, 2, 2), (1, 8, None), (9, 1, None), (0, 8, None)],
+)
+def test_worker_count_is_bounded_by_items_and_cpus(monkeypatch, items, cpus, workers):
+    sizes = _count_pools(monkeypatch, cpus)
+    assert harness._map_jobs(abs, range(-items, 0), 10**6) == list(range(items, 0, -1))
+    assert sizes == ([] if workers is None else [workers])
+
+
+def test_huge_jobs_setting_forks_no_more_than_the_cpus(tmp_path, monkeypatch):
+    serial = run_baseline(_spec(tmp_path / "one", sizes=(4, 9, 16)))
+    sizes = _count_pools(monkeypatch, 4)
+    assert run_baseline(_spec(tmp_path / "many", sizes=(4, 9, 16), jobs=10**6)) == serial
+    assert sizes == [4]  # 6 seasons on 4 CPUs
+    assert (tmp_path / "many" / "baseline.csv").read_bytes() == (
+        tmp_path / "one" / "baseline.csv"
+    ).read_bytes()
+
+
+def _compensated_sum(values, start=0):
+    """The builtin sum() of floats from Python 3.12 on: Neumaier's
+    compensated summation, with the correction added once at the end."""
+    total, correction = float(start), 0.0
+    for value in values:
+        value = float(value)
+        t = total + value
+        if abs(total) >= abs(value):
+            correction += (total - t) + value
+        else:
+            correction += (value - t) + total
+        total = t
+    return total + correction if correction and math.isfinite(correction) else total
+
+
+def test_outputs_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
+    # Every experiment's rows are the same when sum() compensates its
+    # rounding, as it does from Python 3.12 on.
+    specs = [
+        _spec(tmp_path, kind=ExperimentKind.BASELINE, replicates=20),
+        _spec(tmp_path, kind=ExperimentKind.PATHOGEN_SWEEP, replicates=5),
+        _spec(tmp_path, kind=ExperimentKind.ECONOMIC_SWEEP, replicates=20),
+        _spec(tmp_path, kind=ExperimentKind.OPTIMAL_COMPARISON, instances=4,
+              comparison_reps=4, optimizer_delta=0.2),
+    ]
+    expected = [repr(run_experiment(spec)) for spec in specs]
+    for info in pkgutil.iter_modules(fieldopt.__path__):
+        module = importlib.import_module(f"fieldopt.{info.name}")
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert [repr(run_experiment(spec)) for spec in specs] == expected

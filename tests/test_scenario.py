@@ -166,6 +166,7 @@ def test_placement_mode_parsing(tmp_path):
     "content",
     [
         "[weather]\nrain = 3\n",
+        "[weather]\n",
         "[field]\nwidth = 10\n",
         "[pathogen]\nbeta0 = not-a-number\n",
         "[pathogen]\ngamma = 1/0\n",
