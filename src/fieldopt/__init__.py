@@ -85,6 +85,7 @@ from .scenario import (
 from .seeds import derive_seed
 from .worstcase import (
     BoundVariant,
+    MAX_KCENTER_WORK,
     WorstCaseBound,
     analytic_nt,
     analytic_profit,

@@ -10,12 +10,21 @@ distance mask, applied only when it is shorter than the field diagonal.
 The pressure sum runs over susceptible targets only, so one round costs
 O(I * S) pair evaluations for I infected and S susceptible plants.
 
-A round with many susceptible targets is split into contiguous slices of
-them, one per CPU in the process's affinity mask, that run on threads
-(numpy releases the GIL inside its loops). Each target's product is still
-formed over the start-of-round infected in ascending index order, with the
-same float operations, and every RNG draw is made in the calling thread
-after the slices join, so the output does not depend on the CPU count.
+Every pair distance is np.hypot of an x gap and a y gap between lattice
+axis values, and a lattice has only about 3.5 * nx distinct x gaps and
+3.5 * ny distinct y gaps. So a lattice whose kernel table fits in
+TABLE_CAP entries gets the factor 1 - p computed once per pair of distinct
+gaps, by the float operations the per-pair path uses, and its rounds look
+the factors up: the same bits, without a hypot per pair. The table of the
+last lattice and pathogen is cached by value, so seasons share it.
+
+Larger lattices compute every pair with np.hypot. There, a round with
+many susceptible targets is split into contiguous slices of them, one per
+CPU in the process's affinity mask, that run on threads (numpy releases
+the GIL inside its loops). On either path each target's product is formed
+over the start-of-round infected in ascending index order, with the same
+float operations, and every RNG draw is made in the calling thread, so the
+output depends neither on the path nor on the CPU count.
 
 The RNG consumption order is part of the engine contract so trajectories
 are reproducible: first one removal draw per start-of-round infected plant
@@ -55,6 +64,11 @@ class Status(enum.IntEnum):
     REMOVED = 2
 
 
+# The Status codes as plain ints, for the code that runs every round: an
+# enum member is read through EnumType.__getattr__ on each use.
+_SUSCEPTIBLE, _INFECTED, _REMOVED = (int(s) for s in Status)
+
+
 @dataclass(frozen=True)
 class PlantState:
     """Per-plant view: epidemiological status and the round of infection
@@ -78,12 +92,12 @@ class PlantStates:
         return len(self.status)
 
     def infect(self, indices, round_index: int) -> None:
-        self.status[indices] = Status.INFECTED
+        self.status[indices] = _INFECTED
         self.infected_at[indices] = round_index
 
     def counts(self) -> tuple[int, int, int]:
         c = np.bincount(self.status, minlength=3)
-        return int(c[Status.SUSCEPTIBLE]), int(c[Status.INFECTED]), int(c[Status.REMOVED])
+        return int(c[_SUSCEPTIBLE]), int(c[_INFECTED]), int(c[_REMOVED])
 
     def plant(self, index: int) -> PlantState:
         at = int(self.infected_at[index])
@@ -190,6 +204,122 @@ def _survival(
     """prod_i (1 - min(1, beta0 / d_ij)) for each target j over the
     infected i within the cutoff; exactly 1.0 where no pair reaches j.
 
+    Looks each factor up in the lattice's kernel table when it has one
+    (see `_kernel_table`), and otherwise computes it with np.hypot, in
+    slices on threads (`_sliced_survival`). Both paths give the same bits.
+    """
+    table = _kernel_table(grid, beta0, cutoff)
+    if table is not None:
+        return _table_survival(table, grid.ys.size, targets, infected)
+    return _sliced_survival(grid, targets, infected, beta0, cutoff)
+
+
+# Most entries the kernel table may hold, and most entries its two index
+# maps may hold together (nx**2 + ny**2): 1 MiB of factors plus at most
+# 512 KiB of int32 indices. A lattice has about 12 * nx * ny distinct
+# pair-gap combinations, so square lattices up to about 100 x 100 plants
+# get a table; the 501 x 501 full-scale lattice is ruled out by its shape
+# alone, before any work. A table lattice holds at most 65,536 plants,
+# fewer than the 2 * MIN_SLICE targets a split needs, so the table is
+# always read in the calling thread, as one slice.
+TABLE_CAP = 1 << 17
+
+# Elements per block of gathered table indices and factors in
+# `_table_survival` (16 B each: two int32 indices and one float64).
+_BLOCK = 1 << 14
+
+# The last table built, keyed by every value it depends on: (x axis bytes,
+# y axis bytes, beta0, cutoff) -> (flat factors, x index map scaled by the
+# y gap count, y index map), or None when the table would exceed TABLE_CAP.
+# Seasons of one lattice and pathogen share it; any other key rebuilds it.
+_table_cache: tuple = (None, None)
+
+
+def _kernel_table(grid: PlantGrid, beta0: float, cutoff: float):
+    """The exact kernel table of the grid's lattice, or None when its
+    index maps or its factors would exceed TABLE_CAP entries."""
+    global _table_cache
+    xs, ys = grid.xs, grid.ys
+    if xs.size * xs.size + ys.size * ys.size > TABLE_CAP:
+        return None
+    key = (xs.tobytes(), ys.tobytes(), beta0, cutoff)
+    cached = _table_cache  # one read: a key and the table built for it
+    if cached[0] != key:
+        cached = _table_cache = (None, None)  # free the old table first
+        cached = _table_cache = (key, _build_table(xs, ys, beta0, cutoff))
+    return cached[1]
+
+
+def _axis_gaps(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of |axis[b] - axis[a]|, ascending, and the
+    (len, len) int32 map from (a, b) to the index of that value."""
+    gaps = np.abs(axis[None, :] - axis[:, None])
+    values, index = np.unique(gaps, return_inverse=True)
+    return values, index.reshape(gaps.shape).astype(np.int32)
+
+
+def _build_table(xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
+    """K[u, v] = 1 - min(1, beta0 / hypot(gx[u], gy[v])) over the distinct
+    x gaps gx and y gaps gy, with the pair probability set to 0 beyond the
+    cutoff: the float operations of `_survival_slice`, in its order, on
+    the same operands up to sign (np.hypot ignores the signs of its
+    arguments), so each entry has the bits that path computes for every
+    pair with those gaps. K[0, 0] stands for no pair and is never read."""
+    gx, ix = _axis_gaps(xs)
+    gy, iy = _axis_gaps(ys)
+    if gx.size * gy.size > TABLE_CAP:
+        return None
+    table = np.empty((gx.size, gy.size))
+    np.hypot(gx[:, None], gy[None, :], out=table)
+    far = table > cutoff
+    with np.errstate(divide="ignore", invalid="ignore"):  # K[0, 0] = beta0 / 0
+        np.divide(beta0, table, out=table)
+    np.minimum(1.0, table, out=table)
+    np.copyto(table, 0.0, where=far)
+    np.subtract(1.0, table, out=table)
+    np.multiply(ix, gy.size, out=ix)
+    return table.ravel(), ix, iy
+
+
+def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
+    """`_survival` by lookup: for each infected plant in ascending order,
+    gather every target's factor from the table and multiply it into the
+    survival. Sources go in blocks of at most _BLOCK // targets.size rows,
+    so the buffers stay small; each row is still multiplied in on its own,
+    in order."""
+    factors, ix, iy = table
+    n = targets.size
+    target_x, target_y = np.divmod(targets, ny)
+    source_x, source_y = np.divmod(infected, ny)
+    survival = np.ones(n)
+    rows = max(1, _BLOCK // (n or 1))
+    index = np.empty((min(rows, infected.size), n), dtype=np.int32)
+    scratch = np.empty_like(index)
+    keep = np.empty(index.shape)
+    for a in range(0, infected.size, rows):
+        b = min(a + rows, infected.size)
+        block, part, out = index[: b - a], scratch[: b - a], keep[: b - a]
+        # mode="clip" writes straight into `out`; "raise" would buffer it.
+        # Every index is in range, so clipping changes none.
+        ix[source_x[a:b]].take(target_x, axis=1, out=block, mode="clip")
+        iy[source_y[a:b]].take(target_y, axis=1, out=part, mode="clip")
+        np.add(block, part, out=block)
+        factors.take(block, out=out, mode="clip")
+        for row in out:
+            np.multiply(survival, row, out=survival)
+    return survival
+
+
+def _sliced_survival(
+    grid: PlantGrid,
+    targets: np.ndarray,
+    infected: np.ndarray,
+    beta0: float,
+    cutoff: float,
+) -> np.ndarray:
+    """`_survival` by np.hypot per pair, for lattices without a table; it
+    is also the tests' oracle for the table.
+
     The targets are cut into contiguous slices, at most one per CPU and
     none shorter than MIN_SLICE; the first runs in the calling thread and
     the others on threads joined before this returns. Every buffer is
@@ -211,8 +341,11 @@ def _survival(
         )
 
     slices = max(1, min(_cpu_count(), n // MIN_SLICE))
+    if slices == 1:
+        run_slice(0, n)
+        return survival
     bounds = [k * n // slices for k in range(slices + 1)]
-    with ThreadPoolExecutor(max_workers=max(1, slices - 1)) as pool:
+    with ThreadPoolExecutor(max_workers=slices - 1) as pool:
         rest = [pool.submit(run_slice, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
         run_slice(bounds[0], bounds[1])
         for future in rest:
@@ -250,7 +383,7 @@ def _draw_infections(
 ) -> np.ndarray:
     if infected.size == 0 or params.beta0 <= 0.0:
         return np.empty(0, dtype=np.int64)
-    susceptible = np.flatnonzero(status == Status.SUSCEPTIBLE)
+    susceptible = np.flatnonzero(status == _SUSCEPTIBLE)
     if susceptible.size == 0:
         return susceptible
     cutoff = params.beta0 / epsilon_p if epsilon_p > 0 else math.inf
@@ -283,7 +416,7 @@ def step(
     if states.count != grid.count:
         raise ValidationError("invariant violated: states length == grid count")
     status = states.status
-    infected = np.flatnonzero(status == Status.INFECTED)
+    infected = np.flatnonzero(status == _INFECTED)
     if deterministic_duration:
         sojourn = math.ceil(1.0 / params.gamma)
         age = round_index + 1 - states.infected_at[infected]
@@ -291,7 +424,7 @@ def step(
     else:
         removed = infected[rng.random(infected.size) < params.gamma]
     fresh = _draw_infections(grid, status, infected, params, rng, epsilon_p)
-    status[removed] = Status.REMOVED
+    status[removed] = _REMOVED
     if fresh.size:
         states.infect(fresh, round_index + 1)
     return states

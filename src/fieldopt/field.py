@@ -9,7 +9,8 @@ There is no spatial index. At the paper's parameters the infection cutoff
 beta0 / epsilon_p is 3 km, far beyond any field diagonal, so an index
 would prune nothing. `neighbors_within` scans all positions and filters
 by exact Euclidean distance; it is the test oracle for the engine's
-infection kernel.
+infection kernel. A grid keeps the lattice axes its positions come from,
+so the engine can build its kernel table over the distinct axis gaps.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ _SNAP = 1e-9
 
 # Most plants one lattice may hold; `Scenario` enforces it. A season holds
 # about 70 bytes per plant at its peak: 21 for positions and state, 48 for
-# the infection kernel's work arrays over the susceptible plants (see the
-# README). This caps one season near 1.4 GB.
+# the per-pair infection kernel's work arrays over the susceptible plants
+# (see the README). This caps one season near 1.4 GB. The kernel table
+# path keeps as many bytes per susceptible plant, plus the table itself:
+# at most 1.5 MiB, on lattices of at most 65,536 plants.
 MAX_PLANTS = 20_000_000
 
 
@@ -66,11 +69,14 @@ def lattice_capacities(field: FieldSpec, dx: np.ndarray, dy: np.ndarray) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class PlantGrid:
-    """Immutable plant positions."""
+    """Immutable plant positions, and the lattice axes they come from:
+    plant p sits at (xs[p // len(ys)], ys[p % len(ys)])."""
 
     positions: np.ndarray  # (count, 2) float64, row-major lattice order
     count: int
     span_m: float  # diagonal of the occupied bounding box: no pair is farther
+    xs: np.ndarray  # the x coordinates of the occupied rows, ascending
+    ys: np.ndarray  # the y coordinates of the occupied columns, ascending
 
     def neighbor_arrays(self, index: int, radius_m: float):
         """Indices (ascending) and exact distances of plants within
@@ -115,14 +121,17 @@ def layout_grid(
     positions[:, 1] = np.tile(ys, nx)
     if explicit_count is not None:
         positions = positions[:explicit_count]
-    # The bounding box of a row-major prefix of c plants, from the axes:
-    # x runs up to row (c - 1) // ny, y up to column min(c, ny) - 1. Both
-    # axes ascend from 0, so these are the extents positions.max(axis=0) -
-    # positions.min(axis=0) would give. np.hypot, as for pair distances,
-    # so no pair distance exceeds span_m.
+    # A row-major prefix of c plants occupies rows up to (c - 1) // ny and
+    # columns up to min(c, ny) - 1; when c < ny it is one row of c plants,
+    # so p // len(ys) and p % len(ys) still give each plant's row and
+    # column. Both axes ascend from 0, so the bounding box extents are
+    # their last entries, as positions.max(axis=0) - positions.min(axis=0)
+    # would give. np.hypot, as for pair distances, so no pair distance
+    # exceeds span_m.
     c = len(positions)
-    span = float(np.hypot(xs[(c - 1) // ny] - xs[0], ys[min(c, ny) - 1] - ys[0]))
-    return PlantGrid(positions=positions, count=c, span_m=span)
+    xs, ys = xs[: (c - 1) // ny + 1], ys[: min(c, ny)]
+    span = float(np.hypot(xs[-1] - xs[0], ys[-1] - ys[0]))
+    return PlantGrid(positions=positions, count=c, span_m=span, xs=xs, ys=ys)
 
 
 def spacing_from_count(field: FieldSpec, n: int) -> SeedingStrategy:

@@ -127,7 +127,8 @@ class Scenario:
     The lattice may hold at most MAX_PLANTS plants. explicit_count, when
     set, truncates it to its first explicit_count positions in row-major
     order (a population-size override); it must fit within the lattice
-    capacity.
+    capacity. A worst-case placement of k initial infections on N plants
+    may cost at most k * N <= MAX_KCENTER_WORK.
     """
 
     field: FieldSpec = dc_field(default_factory=FieldSpec)
@@ -143,18 +144,27 @@ class Scenario:
         _require(self.horizon_steps >= 2, "horizon_steps >= 2")
         _require(0 <= self.rng_seed < 2**64, "0 <= rng_seed < 2**64")
         from .field import MAX_PLANTS, lattice_size
+        from .worstcase import MAX_KCENTER_WORK
 
         size = lattice_size(self.field, self.strategy.dx_m, self.strategy.dy_m)
         _require(
             size <= MAX_PLANTS,
             f"lattice capacity <= MAX_PLANTS ({MAX_PLANTS}), got {size:.7g}",
         )
+        plants = int(size)
         if self.explicit_count is not None:
             _require(self.explicit_count >= 1, "explicit_count >= 1")
-            cap = int(size)
             _require(
-                self.explicit_count <= cap,
-                f"explicit_count <= grid capacity ({cap})",
+                self.explicit_count <= plants,
+                f"explicit_count <= grid capacity ({plants})",
+            )
+            plants = self.explicit_count
+        if self.placement_mode is PlacementMode.WORST_CASE:
+            work = self.pathogen.initial_infected * plants
+            _require(
+                work <= MAX_KCENTER_WORK,
+                "worstcase placement: initial_infected * plant count <= "
+                f"MAX_KCENTER_WORK ({MAX_KCENTER_WORK}), got {work}",
             )
 
 

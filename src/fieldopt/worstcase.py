@@ -50,6 +50,15 @@ class WorstCaseBound:
     n_t_series: tuple[float, ...]
 
 
+# Most k * N (centers times plants) a worst-case placement may cost;
+# `Scenario` enforces it. Farthest-first placement takes k passes over all
+# N plants, about 14-23 ns per plant and pass on a 2-vCPU VM, so this caps
+# it near 14-23 s. It is the round figure above the largest placement the
+# scenario tests draw (50 centers on a 16,008,001-plant lattice); it admits
+# up to 3,984 centers on the default 251,001-plant field.
+MAX_KCENTER_WORK = 10**9
+
+
 def kcenter_greedy(positions: Sequence, k: int) -> list[int]:
     """Farthest-first traversal for the metric k-center problem.
 

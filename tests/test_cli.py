@@ -352,6 +352,8 @@ def test_readme_has_examples_of_every_subcommand():
          "--delta", "1e299", "--set", "strategy.dx_m=1e299", "--set", "strategy.dy_m=1e299"],
         ["optimize", "--set", "field.width_m=1e153", "--set", "field.height_m=1e153",
          "--set", "strategy.dx_m=1e152", "--set", "strategy.dy_m=1e152", "--delta", "1e152"],
+        ["simulate", "--set", "run.placement_mode=worstcase",
+         "--set", "pathogen.initial_infected=4000"],
     ],
 )
 def test_bad_numbers_exit_1_without_traceback(argv):

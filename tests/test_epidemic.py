@@ -467,14 +467,176 @@ def test_round_without_susceptibles_draws_only_removals():
     assert rng.bit_generator.state == replay.bit_generator.state
 
 
+# -- the kernel table against the np.hypot loop --------------------------------
+
+
+def _table_inputs(grid):
+    """The distinct x gaps and y gaps a grid's kernel table is built from."""
+    def gaps(axis):
+        return np.unique(np.abs(axis[None, :] - axis[:, None]))
+    return gaps(grid.xs), gaps(grid.ys)
+
+
+def _assert_hypot_ignores_signs(grid):
+    # The table holds hypot(|dx|, |dy|); the loop computes hypot(dx, dy)
+    # with the signs each pair gives. Every pair's (|dx|, |dy|) is a pair
+    # of table inputs, so this covers every pair of the lattice.
+    gx, gy = _table_inputs(grid)
+    a, b = gx[:, None], gy[None, :]
+    unsigned = np.hypot(a, b)
+    for sa, sb in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        assert np.array_equal(np.hypot(sa * a, sb * b), unsigned)
+
+
+def _assert_table_matches_loop(grid, seed, beta0, cutoff, block=None):
+    states = _random_states(grid.count, 3, seed)
+    susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
+    infected = np.flatnonzero(states.status == Status.INFECTED)
+    assert epidemic._kernel_table(grid, beta0, cutoff) is not None
+    with mock.patch.object(epidemic, "_BLOCK", block or epidemic._BLOCK):
+        table = epidemic._survival(grid, susceptible, infected, beta0, cutoff)
+    loop = epidemic._sliced_survival(grid, susceptible, infected, beta0, cutoff)
+    assert np.array_equal(table, loop)  # bit for bit
+
+
+# One lattice axis: a length and a spacing, either drawn as floats or as a
+# whole number of steps of a decimal spacing, where k * spacing often lands
+# an ulp past the length and the boundary row is clamped back into it.
+lattice_axes = st.one_of(
+    st.tuples(st.floats(0.5, 6.0), st.floats(0.2, 1.0)),
+    st.tuples(st.integers(1, 30), st.sampled_from([0.1, 0.2, 0.3, 0.7])).map(
+        lambda ks: (round(ks[0] * ks[1], 9), ks[1])
+    ),
+)
+
+table_cases = st.fixed_dictionaries(
+    {
+        "x": lattice_axes,
+        "y": lattice_axes,
+        "prefix": st.one_of(st.none(), st.floats(0.0, 1.0)),  # explicit_count share
+        # small rates, and rates at or above the spacing (p = 1 pairs)
+        "beta0": st.one_of(st.floats(0.0, 0.01), st.floats(0.2, 1.0)),
+        # none (epsilon_p = 0), any length, or exactly one lattice distance
+        "cutoff": st.one_of(
+            st.just(math.inf),
+            st.floats(0.05, 8.0),
+            st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+        ),
+        "block": st.sampled_from([1, 5, 64, None]),
+        "seed": st.integers(0, 2**32),
+    }
+)
+
+
+@settings(max_examples=150)
+@given(table_cases)
+def test_table_kernel_matches_hypot_loop(case):
+    field = FieldSpec(width_m=case["x"][0], height_m=case["y"][0])
+    strategy = SeedingStrategy(dx_m=case["x"][1], dy_m=case["y"][1])
+    grid = layout_grid(field, strategy)
+    if case["prefix"] is not None:
+        grid = layout_grid(field, strategy, max(1, round(case["prefix"] * grid.count)))
+    cutoff = case["cutoff"]
+    if isinstance(cutoff, tuple):
+        gx, gy = _table_inputs(grid)
+        cutoff = float(np.hypot(gx[cutoff[0] % gx.size], gy[cutoff[1] % gy.size]))
+    _assert_hypot_ignores_signs(grid)
+    _assert_table_matches_loop(grid, case["seed"], case["beta0"], cutoff, case["block"])
+
+
+@pytest.mark.parametrize(
+    "width, spacing, explicit_count",
+    [
+        (0.6, 0.2, None),  # 3 * 0.2 overshoots 0.6: the last row is clamped
+        (0.7, 0.1, 30),  # clamped, and a prefix that ends inside a row
+        (6.0, 0.5, 5),  # a prefix shorter than one row
+    ],
+)
+@pytest.mark.parametrize(
+    "beta0, cutoff",
+    [
+        (0.6, math.inf),  # beta0 >= spacing: p = 1 pairs; no cutoff
+        (0.003, 0.5),  # truncates
+        (0.002, 2.0),  # truncates exactly at a lattice distance
+    ],
+)
+def test_table_kernel_cases(width, spacing, explicit_count, beta0, cutoff):
+    field = FieldSpec(width, width)
+    grid = layout_grid(field, SeedingStrategy(spacing, spacing), explicit_count)
+    if width < 1.0:  # the y axis is whole in these cases
+        assert (grid.ys.size - 1) * spacing > width and grid.ys[-1] == width
+    for seed in range(5):
+        _assert_table_matches_loop(grid, seed, beta0, cutoff)
+
+
+@pytest.mark.parametrize(
+    "width, spacing",
+    [(10.0, 0.2), (12.0, 0.12), (5.0, 0.1), (0.7, 0.1), (8.3, 0.37)],
+)
+def test_hypot_ignores_signs_on_every_table_input(width, spacing):
+    # The desk lattice, the largest square table under the cap, and others.
+    grid = layout_grid(FieldSpec(width, width), SeedingStrategy(spacing, spacing))
+    assert epidemic._kernel_table(grid, 0.003, math.inf) is not None
+    _assert_hypot_ignores_signs(grid)
+
+
+def test_lattices_of_one_shape_get_their_own_tables():
+    # 9 x 9 plants each; the cache is keyed by the axes' values, so a grid
+    # that reuses a freed grid's memory still gets its own table.
+    spacings = (0.25, 0.5, 0.25, 0.3)
+    tables = []
+    for spacing in spacings:
+        grid = layout_grid(FieldSpec(2.0, 2.0 * spacing / 0.25),
+                           SeedingStrategy(0.25, spacing))
+        assert (grid.xs.size, grid.ys.size) == (9, 9)
+        tables.append(epidemic._kernel_table(grid, 0.3, math.inf)[0].copy())
+        _assert_table_matches_loop(grid, 0, 0.3, math.inf)
+        del grid
+    assert np.array_equal(tables[0], tables[2])
+    assert not np.array_equal(tables[0], tables[1])
+    assert not np.array_equal(tables[1], tables[3])
+
+
+def test_a_lattice_above_the_cap_builds_no_table():
+    full = layout_grid(FieldSpec(), SeedingStrategy())  # 501 x 501 plants
+    # Ruled out by its shape: no gap is computed.
+    with mock.patch.object(epidemic, "_axis_gaps", side_effect=AssertionError("gaps")):
+        assert epidemic._kernel_table(full, 0.003, math.inf) is None
+    # Index maps within the cap (2 * 121**2 entries), but 413**2 gap pairs.
+    wide = layout_grid(FieldSpec(12.0, 12.0), SeedingStrategy(0.1, 0.1))
+    assert epidemic._kernel_table(wide, 0.003, math.inf) is None
+    desk = layout_grid(FieldSpec(10.0, 10.0), SeedingStrategy(0.2, 0.2))
+    assert epidemic._kernel_table(desk, 0.003, math.inf) is not None
+    with mock.patch.object(epidemic, "TABLE_CAP", 2 * 51**2 - 1):
+        assert epidemic._kernel_table(desk, 0.003, math.inf) is None
+
+
+@pytest.mark.parametrize("mode", list(PlacementMode))
+def test_seasons_are_the_same_with_and_without_the_table(mode):
+    scenario = _scenario(
+        field=FieldSpec(4.0, 4.0),
+        pathogen=PathogenParams(beta0=0.3, gamma=0.2, initial_infected=3),
+        horizon_steps=6,
+        placement_mode=mode,
+    )
+    for seed in range(3):
+        sc = replace(scenario, rng_seed=seed)
+        table = run(sc)
+        with mock.patch.object(epidemic, "TABLE_CAP", 0):
+            loop = run(sc)
+        assert table.trajectory == loop.trajectory
+        assert repr(table.total_profit) == repr(loop.total_profit)
+
+
 # -- the kernel split into slices on threads -----------------------------------
 
 
 @contextlib.contextmanager
 def _slicing(cpus, min_slice):
+    # No kernel table, so every round takes the sliced np.hypot path.
     with mock.patch.object(epidemic, "_cpu_count", lambda: cpus), mock.patch.object(
         epidemic, "MIN_SLICE", min_slice
-    ):
+    ), mock.patch.object(epidemic, "TABLE_CAP", 0):
         yield
 
 
@@ -604,6 +766,7 @@ from fieldopt.harness import ExperimentKind, ExperimentSpec, desk_scenario, run_
 
 epidemic._cpu_count = lambda: 2
 epidemic.MIN_SLICE = 64
+epidemic.TABLE_CAP = 0
 epidemic.run(desk_scenario())  # starts and joins slice threads in this process
 run_experiment(ExperimentSpec(
     kind=ExperimentKind.PATHOGEN_SWEEP, replicates=3, jobs=2, out_dir=sys.argv[1]

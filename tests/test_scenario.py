@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fieldopt import (
+    MAX_KCENTER_WORK,
     MAX_PLANTS,
     EconomicParams,
     FieldSpec,
@@ -242,3 +243,19 @@ def test_tiny_spacing_is_rejected_by_name(dx):
     # 1e-320 overflows the count to inf; 1e-300 gives a finite 1e304
     with pytest.raises(ValidationError, match="MAX_PLANTS"):
         replace(scenario_default(), strategy=SeedingStrategy(dx_m=dx, dy_m=0.2))
+
+
+def test_worstcase_placement_work_is_capped():
+    assert MAX_KCENTER_WORK == 10**9
+    worst = replace(scenario_default(), placement_mode=PlacementMode.WORST_CASE)
+
+    def infected(sc, k):
+        return replace(sc, pathogen=replace(sc.pathogen, initial_infected=k))
+
+    # 251,001 plants: 3,984 centers fit, 3,985 do not
+    assert infected(worst, 3984).pathogen.initial_infected == 3984
+    with pytest.raises(ValidationError, match="MAX_KCENTER_WORK"):
+        infected(worst, 3985)
+    # random placement costs no k-center passes; a prefix counts its plants
+    infected(scenario_default(), 3985)
+    infected(replace(worst, explicit_count=1000), 1000)
