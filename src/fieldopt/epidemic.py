@@ -224,8 +224,9 @@ def _survival(
 # always read in the calling thread, as one slice.
 TABLE_CAP = 1 << 17
 
-# Elements per block of gathered table indices and factors in
-# `_table_survival` (16 B each: two int32 indices and one float64).
+# (source, target) pairs per block of gathered table indices and factors
+# in `_table_survival`: 256 KiB at 16 B each (two int32 indices and one
+# float64 factor).
 _BLOCK = 1 << 14
 
 # The last table built, keyed by every value it depends on: (x axis bytes,
@@ -284,29 +285,33 @@ def _build_table(xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
 def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
     """`_survival` by lookup: for each infected plant in ascending order,
     gather every target's factor from the table and multiply it into the
-    survival. Sources go in blocks of at most _BLOCK // targets.size rows,
-    so the buffers stay small; each row is still multiplied in on its own,
-    in order."""
+    survival. Blocks of at most _BLOCK (source, target) pairs bound the
+    buffers: at most _BLOCK targets at a time, and as many sources as fit;
+    each source row is still multiplied in on its own, in order."""
     factors, ix, iy = table
     n = targets.size
     target_x, target_y = np.divmod(targets, ny)
     source_x, source_y = np.divmod(infected, ny)
     survival = np.ones(n)
-    rows = max(1, _BLOCK // (n or 1))
-    index = np.empty((min(rows, infected.size), n), dtype=np.int32)
+    width = max(1, min(n, _BLOCK))
+    rows = _BLOCK // width
+    index = np.empty((min(rows, infected.size), width), dtype=np.int32)
     scratch = np.empty_like(index)
     keep = np.empty(index.shape)
-    for a in range(0, infected.size, rows):
-        b = min(a + rows, infected.size)
-        block, part, out = index[: b - a], scratch[: b - a], keep[: b - a]
-        # mode="clip" writes straight into `out`; "raise" would buffer it.
-        # Every index is in range, so clipping changes none.
-        ix[source_x[a:b]].take(target_x, axis=1, out=block, mode="clip")
-        iy[source_y[a:b]].take(target_y, axis=1, out=part, mode="clip")
-        np.add(block, part, out=block)
-        factors.take(block, out=out, mode="clip")
-        for row in out:
-            np.multiply(survival, row, out=survival)
+    for c in range(0, n, width):
+        tx, ty = target_x[c : c + width], target_y[c : c + width]
+        product = survival[c : c + width]
+        for a in range(0, infected.size, rows):
+            b = min(a + rows, infected.size)
+            block, part, out = (buf[: b - a, : tx.size] for buf in (index, scratch, keep))
+            # mode="clip" writes straight into `out`; "raise" would buffer
+            # it. Every index is in range, so clipping changes none.
+            ix[source_x[a:b]].take(tx, axis=1, out=block, mode="clip")
+            iy[source_y[a:b]].take(ty, axis=1, out=part, mode="clip")
+            np.add(block, part, out=block)
+            factors.take(block, out=out, mode="clip")
+            for row in out:
+                np.multiply(product, row, out=product)
     return survival
 
 

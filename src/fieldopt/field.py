@@ -30,8 +30,8 @@ _SNAP = 1e-9
 # about 70 bytes per plant at its peak: 21 for positions and state, 48 for
 # the per-pair infection kernel's work arrays over the susceptible plants
 # (see the README). This caps one season near 1.4 GB. The kernel table
-# path keeps as many bytes per susceptible plant, plus the table itself:
-# at most 1.5 MiB, on lattices of at most 65,536 plants.
+# path keeps fewer bytes per susceptible plant, plus at most 1.75 MiB of
+# table and block buffers, on lattices of at most 65,536 plants.
 MAX_PLANTS = 20_000_000
 
 
