@@ -31,6 +31,7 @@ from .epidemic import (
     pairwise_infection_prob,
     place_initial_infected,
     run,
+    run_batch,
     step,
 )
 from .field import (
@@ -70,6 +71,7 @@ from .optimizer import (
 from .scenario import (
     EconomicParams,
     FieldSpec,
+    MAX_HORIZON,
     PathogenParams,
     PlacementMode,
     Scenario,

@@ -21,9 +21,9 @@ from .epidemic import run
 from .harness import (
     ExperimentKind,
     ExperimentSpec,
-    _write_csv,
     desk_scenario,
     run_experiment,
+    write_csv_lines,
 )
 from .optimizer import ScoreMode, SearchMethod, optimize
 from .scenario import (
@@ -162,14 +162,20 @@ def _cmd_simulate(args) -> int:
 _EVALUATION_FIELDS = ["dx_m", "dy_m", "profit_estimate", "profit_std", "n_reps"]
 
 
-def _evaluation_rows(result, block: int = 1 << 16):
-    """The rows of evaluations.csv, made from the result's columns one
-    block at a time, so no object per candidate outlives its row."""
+def _evaluation_line(n_reps: int):
+    """The formatter of one evaluations.csv data line: four floats, each
+    as `harness._fmt` spells it ("%.9g"), then n_reps."""
+    return ("{:.9g},{:.9g},{:.9g},{:.9g}," + str(n_reps) + "\n").format
+
+
+def _evaluation_lines(result, block: int = 1 << 16):
+    """The data lines of evaluations.csv, made from the result's columns
+    one block at a time, so no object per candidate outlives its line."""
+    line = _evaluation_line(result.n_reps)
     columns = _EVALUATION_FIELDS[:4]
     for start in range(0, len(result.dx_m), block):
         values = [getattr(result, name)[start : start + block].tolist() for name in columns]
-        for row in zip(*values):
-            yield dict(zip(_EVALUATION_FIELDS, (*row, result.n_reps)))
+        yield from map(line, *values)
 
 
 def _cmd_optimize(args) -> int:
@@ -184,7 +190,9 @@ def _cmd_optimize(args) -> int:
         base_seed=_resolve_seed(args, scenario),
     )
     if args.out_dir:
-        _write_csv(args.out_dir, "evaluations.csv", _EVALUATION_FIELDS, _evaluation_rows(result))
+        write_csv_lines(
+            args.out_dir, "evaluations.csv", _EVALUATION_FIELDS, _evaluation_lines(result)
+        )
     best = result.best_strategy
     print(f"best dx_m={best.dx_m:.9g} dy_m={best.dy_m:.9g} profit={result.best_profit:.9g}")
     return 0

@@ -16,7 +16,8 @@ axis values, and a lattice has only about 3.5 * nx distinct x gaps and
 TABLE_CAP entries gets the factor 1 - p computed once per pair of distinct
 gaps, by the float operations the per-pair path uses, and its rounds look
 the factors up: the same bits, without a hypot per pair. The table of the
-last lattice and pathogen is cached by value, so seasons share it.
+last lattice and pathogen is cached by value, so the seasons of a batch,
+and consecutive batches on one lattice, share it.
 
 Larger lattices compute every pair with np.hypot. There, a round with
 many susceptible targets is split into contiguous slices of them, one per
@@ -31,6 +32,13 @@ are reproducible: first one removal draw per start-of-round infected plant
 in ascending index order, then one infection draw per susceptible plant
 with positive combined probability in ascending index order. Zero infected
 plants therefore consume zero infection draws.
+
+`run_batch` simulates the seasons of one scenario over a sequence of
+seeds. What draws no random numbers is done once per batch: the lattice
+layout and, under worst-case placement, the k-center initial infections.
+Each season keeps its own default_rng(seed), so a batched season equals
+the single season `run` gives for that seed, draw for draw; `run` is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -169,13 +178,13 @@ def pairwise_infection_prob(beta0: float, distance_m: float) -> float:
 
 
 def place_initial_infected(
-    grid: PlantGrid, k: int, mode: PlacementMode, rng: np.random.Generator
+    grid: PlantGrid, k: int, mode: PlacementMode, rng: np.random.Generator | None
 ) -> np.ndarray:
     """Indices of the k initially infected plants, ascending.
 
     Random mode draws k distinct indices uniformly from the RNG stream;
     WorstCase mode is the deterministic greedy k-center placement and
-    consumes no draws.
+    consumes no draws (its rng may be None).
     """
     if not 1 <= k <= grid.count:
         raise ValidationError(
@@ -454,34 +463,65 @@ def _died_early_result(scenario: Scenario, n: int) -> SimulationResult:
     )
 
 
-def run(
+def run_batch(
     scenario: Scenario,
+    seeds: Sequence[int],
     *,
     epsilon_p: float = 1e-6,
     deterministic_duration: bool = False,
-) -> SimulationResult:
-    """Simulate one full season: layout, initial infections at t = 1,
-    T - 1 stochastic rounds, then economics and R0 metrics.
+) -> tuple[SimulationResult, ...]:
+    """Simulate one full season of the scenario per seed, in order: the
+    season of seeds[i] is `run(replace(scenario, rng_seed=seeds[i]))`.
 
-    Fully deterministic given scenario.rng_seed. Spacing below the minimal
-    seeding distance short-circuits: every plant dies before harvest, the
-    seeding cost is lost, and no RNG draws are consumed.
+    The lattice is laid out once for the batch, and a worst-case placement,
+    which draws no random numbers, is made once and shared read-only by
+    every season. Each season then draws from its own default_rng(seed):
+    a random placement first, then its rounds. A spacing below the minimal
+    seeding distance gives one died-early result per seed and draws
+    nothing.
     """
+    for seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise ValidationError("invariant violated: 0 <= seed < 2**64")
     field, strategy = scenario.field, scenario.strategy
-    pathogen = scenario.pathogen
-    n = (
-        scenario.explicit_count
-        if scenario.explicit_count is not None
-        else lattice_capacity(field, strategy)
-    )
     if strategy.dx_m < field.min_spacing_m or strategy.dy_m < field.min_spacing_m:
-        return _died_early_result(scenario, n)
+        n = (
+            scenario.explicit_count
+            if scenario.explicit_count is not None
+            else lattice_capacity(field, strategy)
+        )
+        return (_died_early_result(scenario, n),) * len(seeds)
 
-    rng = np.random.default_rng(scenario.rng_seed)
     grid = layout_grid(field, strategy, scenario.explicit_count)
-    initial = place_initial_infected(
-        grid, pathogen.initial_infected, scenario.placement_mode, rng
+    shared = None
+    if scenario.placement_mode is PlacementMode.WORST_CASE:
+        shared = place_initial_infected(
+            grid, scenario.pathogen.initial_infected, PlacementMode.WORST_CASE, None
+        )
+        shared.flags.writeable = False
+    return tuple(
+        _season(scenario, grid, shared, seed, epsilon_p, deterministic_duration)
+        for seed in seeds
     )
+
+
+def _season(
+    scenario: Scenario,
+    grid: PlantGrid,
+    initial: np.ndarray | None,
+    seed: int,
+    epsilon_p: float,
+    deterministic_duration: bool,
+) -> SimulationResult:
+    """One season of `run_batch` on its laid-out grid: the initial
+    infections at t = 1 (drawn here when `initial` is None), T - 1
+    stochastic rounds, then economics and R0 metrics."""
+    pathogen = scenario.pathogen
+    rng = np.random.default_rng(seed)
+    if initial is None:
+        initial = place_initial_infected(
+            grid, pathogen.initial_infected, scenario.placement_mode, rng
+        )
     states = PlantStates(grid.count)
     states.infect(initial, 1)
 
@@ -514,3 +554,26 @@ def run(
         initial_infected=tuple(int(x) for x in initial),
         died_early=False,
     )
+
+
+def run(
+    scenario: Scenario,
+    *,
+    epsilon_p: float = 1e-6,
+    deterministic_duration: bool = False,
+) -> SimulationResult:
+    """Simulate one full season: layout, initial infections at t = 1,
+    T - 1 stochastic rounds, then economics and R0 metrics. It is the
+    batch of one seed, scenario.rng_seed (see `run_batch`).
+
+    Fully deterministic given scenario.rng_seed. Spacing below the minimal
+    seeding distance short-circuits: every plant dies before harvest, the
+    seeding cost is lost, and no RNG draws are consumed.
+    """
+    (result,) = run_batch(
+        scenario,
+        (scenario.rng_seed,),
+        epsilon_p=epsilon_p,
+        deterministic_duration=deterministic_duration,
+    )
+    return result

@@ -14,7 +14,6 @@ seed; floats are serialized with 9 significant digits.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from collections.abc import Iterable
@@ -164,16 +163,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out_dir, name: str, fieldnames: list[str], rows: Iterable[dict]) -> Path:
+def write_csv_lines(out_dir, name: str, fieldnames: list[str], lines: Iterable[str]) -> Path:
+    """Write out_dir/name: the header, then the data lines as given, each
+    ending in "\n". Fields are not quoted, so no value may hold a comma,
+    a quote or a newline; every value written here is a number or a fixed
+    label."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row.get(key)) for key in fieldnames])
+        fh.write(",".join(fieldnames) + "\n")
+        fh.writelines(lines)
     return path
+
+
+def _write_csv(out_dir, name: str, fieldnames: list[str], rows: Iterable[dict]) -> Path:
+    """`write_csv_lines` of dict rows: each value formatted by `_fmt`, a
+    missing key as an empty field."""
+    lines = (",".join([_fmt(row.get(key)) for key in fieldnames]) + "\n" for row in rows)
+    return write_csv_lines(out_dir, name, fieldnames, lines)
 
 
 BASELINE_FIELDS = ["t", "size_label", "mean_r0", "std_r0", "mean_profit", "std_profit"]

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytics import _mean_std, paired_t_test
-from .epidemic import run
+from .epidemic import run, run_batch
 from .field import axis_count, lattice_size
 from .scenario import (
     FieldSpec,
@@ -39,9 +39,13 @@ from .worstcase import analytic_profit, analytic_profits
 # at delta 0.05 m) has 3,996,001. A search holds a few float64 arrays of
 # this length, 40 MB each at the cap.
 MAX_CANDIDATES = 5_000_000
-# Analytic scoring works through the candidates in blocks of this many, so
-# its temporaries (Python lists of floats among them) stay small.
+# Analytic scoring works through the candidates in blocks of at most this
+# many, so its temporaries (Python lists of floats among them) stay small.
 _BLOCK = 1 << 16
+# Most elements of a block's (horizon, block) array of removal bounds and
+# of its other per-round arrays: 8 MB of float64 each. Blocks get shorter
+# above 16 rounds; every candidate's score is the same in any block.
+_BOUND_ELEMENTS = 1 << 20
 
 
 class SearchMethod(enum.Enum):
@@ -244,10 +248,11 @@ def optimize(
 
     if mode is ScoreMode.ANALYTIC:
         profit = np.empty(len(dx))
+        size = min(_BLOCK, _BOUND_ELEMENTS // scenario.horizon_steps)
         # Prices that overflow are caught by the finiteness check below.
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(dx), _BLOCK):
-                block = slice(start, start + _BLOCK)
+            for start in range(0, len(dx), size):
+                block = slice(start, start + size)
                 profit[block] = analytic_profits(
                     scenario.field,
                     dx[block],
@@ -326,38 +331,37 @@ def compare_strategies(
     """Paired comparison of two strategies under both placement modes.
 
     Replicate i uses the same derived seed in all four arms (common random
-    numbers), so profit differences are paired. Reports per-arm mean/std of
-    profit and mean R0, plus a paired two-sided t-test on profits per
-    placement mode. Zero-variance differences raise unless
-    allow_degenerate, which records None for that placement instead.
+    numbers), so profit differences are paired. Each arm is one `run_batch`
+    of those seeds, so it lays out its lattice and places its worst-case
+    infections once. Reports per-arm mean/std of profit and mean R0, plus
+    a paired two-sided t-test on profits per placement mode. Zero-variance
+    differences raise unless allow_degenerate, which records None for that
+    placement instead.
     """
     if n_reps < 2:
         raise ValidationError("invariant violated: n_reps >= 2")
     base_seed = scenario.rng_seed if base_seed is None else base_seed
     seeds = [derive_seed(base_seed, "compare", i) for i in range(n_reps)]
 
+    placements = (PlacementMode.RANDOM, PlacementMode.WORST_CASE)
+    strategies = (("default", default_strategy), ("optimal", optimal_strategy))
+    # Simulated lattice by lattice, so that the one-entry kernel-table cache
+    # builds each lattice's table once, and reported placement by placement.
+    batches = {
+        (placement, label): run_batch(
+            replace(scenario, strategy=strategy, placement_mode=placement, explicit_count=None),
+            seeds,
+        )
+        for label, strategy in strategies
+        for placement in placements
+    }
     arms = []
-    profits_by = {}
-    for placement in (PlacementMode.RANDOM, PlacementMode.WORST_CASE):
-        for label, strategy in (
-            ("default", default_strategy),
-            ("optimal", optimal_strategy),
-        ):
-            results = [
-                run(
-                    replace(
-                        scenario,
-                        strategy=strategy,
-                        placement_mode=placement,
-                        rng_seed=seed,
-                        explicit_count=None,
-                    )
-                )
-                for seed in seeds
-            ]
-            profits = [r.total_profit for r in results]
+    for placement in placements:
+        for label, strategy in strategies:
+            batch = batches[(placement, label)]
+            profits = tuple(r.total_profit for r in batch)
             mean_p, std_p = _mean_std(profits)
-            mean_r, std_r = _mean_std([r.mean_r0 for r in results])
+            mean_r, std_r = _mean_std([r.mean_r0 for r in batch])
             arms.append(
                 ArmResult(
                     placement=placement,
@@ -367,13 +371,13 @@ def compare_strategies(
                     std_profit=std_p,
                     mean_r0=mean_r,
                     std_r0=std_r,
-                    profits=tuple(profits),
+                    profits=profits,
                 )
             )
-            profits_by[(placement, label)] = profits
+    profits_by = {(arm.placement, arm.label): arm.profits for arm in arms}
 
     t_tests = {}
-    for placement in (PlacementMode.RANDOM, PlacementMode.WORST_CASE):
+    for placement in placements:
         try:
             t_tests[placement] = paired_t_test(
                 profits_by[(placement, "optimal")],

@@ -119,15 +119,23 @@ class SeedingStrategy:
         _require(self.dy_m > 0, "dy_m > 0")
 
 
+# Most rounds a season may have. At the default gamma of 1/42 per round (a
+# 42-day mean infectious period) rounds are days, so this admits seasons of
+# almost three years. It bounds the per-round series of a season, its
+# simulation loop, and analytic scoring, whose work grows with candidates
+# times rounds.
+MAX_HORIZON = 1000
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One fully specified season: geometry, pathogen, economics, strategy,
     horizon, initial-infection placement mode, and RNG seed.
 
-    The lattice may hold at most MAX_PLANTS plants. explicit_count, when
-    set, truncates it to its first explicit_count positions in row-major
-    order (a population-size override); it must fit within the lattice
-    capacity. A worst-case placement of k initial infections on N plants
+    A season has 2 to MAX_HORIZON rounds. The lattice may hold at most
+    MAX_PLANTS plants. explicit_count, when set, truncates it to its first
+    explicit_count positions in row-major order (a population-size
+    override); it must fit within the lattice capacity. A worst-case placement of k initial infections on N plants
     may cost at most k * N <= MAX_KCENTER_WORK.
     """
 
@@ -142,6 +150,10 @@ class Scenario:
 
     def __post_init__(self):
         _require(self.horizon_steps >= 2, "horizon_steps >= 2")
+        _require(
+            self.horizon_steps <= MAX_HORIZON,
+            f"horizon_steps <= MAX_HORIZON ({MAX_HORIZON}), got {self.horizon_steps}",
+        )
         _require(0 <= self.rng_seed < 2**64, "0 <= rng_seed < 2**64")
         from .field import MAX_PLANTS, lattice_size
         from .worstcase import MAX_KCENTER_WORK

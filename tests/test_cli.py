@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import shlex
 import subprocess
@@ -10,8 +11,8 @@ import pytest
 
 from fieldopt import optimize, write_scenario, scenario_default
 from fieldopt import cli
-from fieldopt.cli import _evaluation_rows, main
-from fieldopt.harness import _write_csv
+from fieldopt.cli import _evaluation_line, _evaluation_lines, main
+from fieldopt.harness import _fmt, _write_csv, write_csv_lines
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -295,10 +296,21 @@ def test_evaluations_csv_is_streamed_from_the_columns(tmp_path):
     rows = [{name: getattr(e, name) for name in fields} for e in result.evaluations]
     expected = _write_csv(tmp_path / "a", "evaluations.csv", fields, rows).read_bytes()
     assert len(result.dx_m) % 7  # the last block is a partial one
-    streamed = _write_csv(
-        tmp_path / "b", "evaluations.csv", fields, _evaluation_rows(result, block=7)
+    streamed = write_csv_lines(
+        tmp_path / "b", "evaluations.csv", fields, _evaluation_lines(result, block=7)
     )
     assert streamed.read_bytes() == expected
+
+
+def test_evaluation_line_spells_floats_as_fmt():
+    values = [
+        math.inf, -math.inf, math.nan, -0.0, 0.0, 123456789.0, 1234567891.0,
+        0.1 + 0.2, 1 / 3, -2.5e-300, 5e-324, 1.7976931348623157e308, 999999999.5,
+    ]
+    for n_reps in (0, 30):
+        line = _evaluation_line(n_reps)
+        for row in zip(values, values[1:] + values[:1], values[2:] + values[:2], values[::-1]):
+            assert line(*row) == ",".join([*map(_fmt, row), _fmt(n_reps)]) + "\n"
 
 
 def _readme_examples():
@@ -354,6 +366,9 @@ def test_readme_has_examples_of_every_subcommand():
          "--set", "strategy.dx_m=1e152", "--set", "strategy.dy_m=1e152", "--delta", "1e152"],
         ["simulate", "--set", "run.placement_mode=worstcase",
          "--set", "pathogen.initial_infected=4000"],
+        ["optimize", "--set", "run.horizon_steps=1000000000", "--delta", "5"],
+        ["simulate", "--set", "run.horizon_steps=100000000",
+         "--set", "field.width_m=1", "--set", "field.height_m=1"],
     ],
 )
 def test_bad_numbers_exit_1_without_traceback(argv):

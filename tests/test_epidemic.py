@@ -26,6 +26,7 @@ from fieldopt import (
     ValidationError,
     derive_seed,
     kcenter_greedy,
+    lattice_capacity,
     layout_grid,
     pairwise_infection_prob,
     place_initial_infected,
@@ -626,6 +627,122 @@ def test_seasons_are_the_same_with_and_without_the_table(mode):
             loop = run(sc)
         assert table.trajectory == loop.trajectory
         assert repr(table.total_profit) == repr(loop.total_profit)
+
+
+# -- batches of seasons ---------------------------------------------------------
+
+
+batch_cases = st.fixed_dictionaries(
+    {
+        "width": st.floats(1.0, 3.0),
+        "height": st.floats(1.0, 3.0),
+        # Spacings below min_spacing_m (0.1) die early.
+        "dx": st.floats(0.05, 0.6),
+        "dy": st.floats(0.15, 0.6),
+        "beta0": st.sampled_from([0.0, 0.003, 0.05, 0.3]),
+        "gamma": st.floats(0.05, 1.0),
+        "k": st.integers(1, 4),
+        "count": st.one_of(st.none(), st.floats(0.0, 1.0)),
+        "horizon": st.integers(2, 5),
+        "mode": st.sampled_from(PlacementMode),
+        "deterministic_duration": st.booleans(),
+        "table": st.booleans(),
+        "seeds": st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    }
+)
+
+
+def _batch_scenario(case):
+    field = FieldSpec(width_m=case["width"], height_m=case["height"])
+    strategy = SeedingStrategy(dx_m=case["dx"], dy_m=case["dy"])
+    capacity = lattice_capacity(field, strategy)
+    k = min(case["k"], capacity)
+    count = None
+    if case["count"] is not None:  # an explicit_count prefix of k..capacity plants
+        count = k + int(case["count"] * (capacity - k))
+    return Scenario(
+        field=field,
+        pathogen=PathogenParams(beta0=case["beta0"], gamma=case["gamma"], initial_infected=k),
+        strategy=strategy,
+        horizon_steps=case["horizon"],
+        placement_mode=case["mode"],
+        explicit_count=count,
+    )
+
+
+def _assert_same_season(a, b):
+    assert a.trajectory == b.trajectory
+    assert repr(a.total_profit) == repr(b.total_profit)
+    assert repr(a.r0) == repr(b.r0)
+    assert a.initial_infected == b.initial_infected
+    assert a.died_early == b.died_early
+
+
+@settings(max_examples=80)
+@given(batch_cases)
+def test_a_batched_season_is_the_single_season_of_its_seed(case):
+    scenario = _batch_scenario(case)
+    options = {"deterministic_duration": case["deterministic_duration"]}
+    cap = epidemic.TABLE_CAP if case["table"] else 0  # 0: the sliced np.hypot path
+    with mock.patch.object(epidemic, "TABLE_CAP", cap):
+        batch = epidemic.run_batch(scenario, case["seeds"], **options)
+        singles = [run(replace(scenario, rng_seed=seed), **options) for seed in case["seeds"]]
+    assert len(batch) == len(singles)
+    for a, b in zip(batch, singles):
+        _assert_same_season(a, b)
+
+
+@pytest.mark.parametrize("mode", list(PlacementMode))
+def test_a_batch_lays_out_and_places_once(mode):
+    scenario = _scenario(
+        pathogen=PathogenParams(beta0=0.05, gamma=0.2, initial_infected=3), placement_mode=mode
+    )
+    with mock.patch.object(
+        epidemic, "layout_grid", wraps=epidemic.layout_grid
+    ) as layout, mock.patch.object(
+        epidemic, "kcenter_greedy", wraps=epidemic.kcenter_greedy
+    ) as kcenter:
+        batch = epidemic.run_batch(scenario, range(6))
+    assert len(batch) == 6
+    assert layout.call_count == 1
+    assert kcenter.call_count == (mode is PlacementMode.WORST_CASE)
+    placements = {result.initial_infected for result in batch}
+    assert len(placements) == (1 if mode is PlacementMode.WORST_CASE else 6)
+
+
+def test_a_shared_placement_is_read_only():
+    scenario = _scenario(placement_mode=PlacementMode.WORST_CASE)
+    seen = []
+
+    def infect(states, indices, round_index):
+        if round_index == 1:  # the initial infections
+            seen.append(indices)
+        states.status[indices] = Status.INFECTED
+        states.infected_at[indices] = round_index
+
+    with mock.patch.object(epidemic.PlantStates, "infect", infect):
+        epidemic.run_batch(scenario, (1, 2))
+    shared = seen[0]
+    assert len(seen) == 2 and seen[1] is shared
+    assert not shared.flags.writeable
+
+
+def test_a_died_early_batch_gives_one_result_per_seed_and_draws_nothing():
+    scenario = _scenario(strategy=SeedingStrategy(0.05, 0.25))
+    with mock.patch.object(
+        epidemic, "layout_grid", side_effect=AssertionError("layout")
+    ), mock.patch.object(np.random, "default_rng", side_effect=AssertionError("rng")):
+        batch = epidemic.run_batch(scenario, (4, 5, 6))
+    assert len(batch) == 3
+    for result in batch:
+        _assert_same_season(result, run(scenario))
+    assert epidemic.run_batch(scenario, ()) == ()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_batch_seeds_are_validated(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        epidemic.run_batch(_scenario(), (0, seed))
 
 
 # -- the kernel split into slices on threads -----------------------------------

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fieldopt import (
     SeedingStrategy,
     ValidationError,
     analytic_profit,
+    analytic_profits,
     compare_strategies,
     derive_seed,
     economic_series,
@@ -27,10 +29,11 @@ from fieldopt import (
     evaluate_candidate,
     lattice_capacity,
     optimize,
+    run,
     select_best,
     worstcase_bound,
 )
-from fieldopt import optimizer
+from fieldopt import epidemic, optimizer
 
 
 def _scenario(**kwargs):
@@ -432,6 +435,23 @@ def test_analytic_search_builds_no_object_per_candidate(monkeypatch):
 # -- candidate cap ------------------------------------------------------------
 
 
+def test_long_horizons_score_in_shorter_blocks_with_the_same_bits():
+    scenario = _scenario(field=FieldSpec(1.3, 0.9), horizon_steps=7)
+    whole = optimize(scenario, delta=0.05)
+    sizes = []
+
+    def scored(field, dx, *args):
+        sizes.append(len(dx))
+        return analytic_profits(field, dx, *args)
+
+    with mock.patch.object(optimizer, "_BOUND_ELEMENTS", 7 * 5), mock.patch.object(
+        optimizer, "analytic_profits", scored
+    ):
+        blocked = optimize(scenario, delta=0.05)
+    assert max(sizes) == 5 and sum(sizes) == len(whole.dx_m)
+    assert blocked == whole
+
+
 @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
 def test_delta_must_be_finite_and_positive(delta):
     with pytest.raises(ValidationError, match="delta is finite and > 0"):
@@ -509,6 +529,40 @@ def test_compare_strategies_pairs_seeds_across_arms():
             by_key[(placement, "optimal")].profits
             == mirrored_by_key[(placement, "default")].profits
         )
+
+
+def test_compare_strategies_arms_are_seasons_of_run():
+    scenario = _scenario(
+        field=FieldSpec(2.0, 2.0),
+        pathogen=PathogenParams(beta0=0.05, gamma=0.2, initial_infected=2),
+        horizon_steps=4,
+    )
+    default, optimal = SeedingStrategy(0.2, 0.2), SeedingStrategy(0.3, 0.25)
+    comparison = compare_strategies(scenario, default, optimal, n_reps=4, base_seed=5)
+    seeds = [derive_seed(5, "compare", i) for i in range(4)]
+    expected = [
+        (placement, label, strategy)
+        for placement in (PlacementMode.RANDOM, PlacementMode.WORST_CASE)
+        for label, strategy in (("default", default), ("optimal", optimal))
+    ]
+    assert [(a.placement, a.label, a.strategy) for a in comparison.arms] == expected
+    for arm in comparison.arms:
+        cell = replace(scenario, strategy=arm.strategy, placement_mode=arm.placement)
+        profits = [run(replace(cell, rng_seed=seed)).total_profit for seed in seeds]
+        assert [repr(p) for p in arm.profits] == [repr(p) for p in profits]
+
+
+def test_compare_strategies_builds_one_table_per_lattice(monkeypatch):
+    scenario = _scenario(
+        field=FieldSpec(2.0, 2.0),
+        pathogen=PathogenParams(beta0=0.05, gamma=0.2, initial_infected=2),
+    )
+    monkeypatch.setattr(epidemic, "_table_cache", (None, None))
+    with mock.patch.object(epidemic, "_build_table", wraps=epidemic._build_table) as build:
+        compare_strategies(
+            scenario, SeedingStrategy(0.2, 0.2), SeedingStrategy(0.3, 0.3), n_reps=3
+        )
+    assert build.call_count == 2  # two lattices, four arms
 
 
 def test_compare_strategies_degenerate_differences():

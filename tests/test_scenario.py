@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fieldopt import (
+    MAX_HORIZON,
     MAX_KCENTER_WORK,
     MAX_PLANTS,
     EconomicParams,
@@ -66,6 +67,12 @@ def test_defaults_match_documented_parameterization():
 def test_invariant_rejections(build):
     with pytest.raises(ValidationError, match="invariant violated"):
         build()
+
+
+def test_horizon_is_capped():
+    assert Scenario(horizon_steps=MAX_HORIZON).horizon_steps == MAX_HORIZON
+    with pytest.raises(ValidationError, match=f"horizon_steps <= MAX_HORIZON \\({MAX_HORIZON}\\)"):
+        Scenario(horizon_steps=MAX_HORIZON + 1)
 
 
 @pytest.mark.parametrize("name", ["width_m", "height_m", "min_spacing_m"])
