@@ -58,6 +58,7 @@ from .optimizer import (
     ArmResult,
     CandidateEvaluation,
     MAX_CANDIDATES,
+    MAX_CANDIDATE_ROUNDS,
     OptimizationResult,
     ScoreMode,
     SearchMethod,

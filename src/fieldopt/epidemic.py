@@ -15,17 +15,25 @@ axis values, and a lattice has only about 3.5 * nx distinct x gaps and
 3.5 * ny distinct y gaps. So a lattice whose kernel table fits in
 TABLE_CAP entries gets the factor 1 - p computed once per pair of distinct
 gaps, by the float operations the per-pair path uses, and its rounds look
-the factors up: the same bits, without a hypot per pair. The table of the
-last lattice and pathogen is cached by value, so the seasons of a batch,
-and consecutive batches on one lattice, share it.
+the factors up: the same bits, without a hypot per pair.
 
-Larger lattices compute every pair with np.hypot. There, a round with
-many susceptible targets is split into contiguous slices of them, one per
-CPU in the process's affinity mask, that run on threads (numpy releases
-the GIL inside its loops). On either path each target's product is formed
-over the start-of-round infected in ascending index order, with the same
-float operations, and every RNG draw is made in the calling thread, so the
-output depends neither on the path nor on the CPU count.
+A lattice of at least WINDOW_MIN plants gets an offset table instead: the
+factor at each (row offset, column offset), and the short list of
+(offset, gap) pairs where float rounding gives a pair another factor. A
+round with enough susceptible plants multiplies, for each infected plant,
+the table window centred on it into a survival over the whole lattice and
+then puts back the exact factor at its exception targets: the same bits
+again, at about 1 ns per lattice plant.
+
+The last table of each kind is cached by the lattice and pathogen values,
+so the seasons of a batch, and consecutive batches on one lattice, share
+it. Every other round computes every pair with np.hypot. There, a round
+with many susceptible targets is split into contiguous slices of them, one
+per CPU in the process's affinity mask, that run on threads (numpy
+releases the GIL inside its loops). On every path each target's product
+is formed over the start-of-round infected in ascending index order, with
+the same float operations, and every RNG draw is made in the calling
+thread, so the output depends neither on the path nor on the CPU count.
 
 The RNG consumption order is part of the engine contract so trajectories
 are reproducible: first one removal draw per start-of-round infected plant
@@ -214,12 +222,18 @@ def _survival(
     infected i within the cutoff; exactly 1.0 where no pair reaches j.
 
     Looks each factor up in the lattice's kernel table when it has one
-    (see `_kernel_table`), and otherwise computes it with np.hypot, in
-    slices on threads (`_sliced_survival`). Both paths give the same bits.
+    (see `_kernel_table`). A large lattice whose round has many susceptible
+    targets multiplies one offset-table window per infected plant instead
+    (see `_window_table`). Other rounds compute every factor with np.hypot,
+    in slices on threads (`_sliced_survival`). All paths give the same bits.
     """
     table = _kernel_table(grid, beta0, cutoff)
     if table is not None:
         return _table_survival(table, grid.ys.size, targets, infected)
+    if grid.count >= WINDOW_MIN and targets.size >= _WINDOW_TARGETS * grid.count:
+        window = _window_table(grid, beta0, cutoff)
+        if window is not None:
+            return _window_survival(window, targets, infected)
     return _sliced_survival(grid, targets, infected, beta0, cutoff)
 
 
@@ -268,25 +282,30 @@ def _axis_gaps(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, index.reshape(gaps.shape).astype(np.int32)
 
 
+def _pair_factors(gx, gy, beta0: float, cutoff: float, out=None) -> np.ndarray:
+    """1 - min(1, beta0 / hypot(gx, gy)) over broadcast gaps, with the pair
+    probability set to 0 beyond the cutoff: the float operations of
+    `_survival_slice`, in its order, on the same operands up to sign
+    (np.hypot ignores the signs of its arguments), so each entry has the
+    bits that path computes for every pair with those gaps."""
+    d = np.hypot(gx, gy, out=out)
+    far = d > cutoff
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero gap pair: beta0 / 0
+        np.divide(beta0, d, out=d)
+    np.minimum(1.0, d, out=d)
+    np.copyto(d, 0.0, where=far)
+    np.subtract(1.0, d, out=d)
+    return d
+
+
 def _build_table(xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
-    """K[u, v] = 1 - min(1, beta0 / hypot(gx[u], gy[v])) over the distinct
-    x gaps gx and y gaps gy, with the pair probability set to 0 beyond the
-    cutoff: the float operations of `_survival_slice`, in its order, on
-    the same operands up to sign (np.hypot ignores the signs of its
-    arguments), so each entry has the bits that path computes for every
-    pair with those gaps. K[0, 0] stands for no pair and is never read."""
+    """K[u, v], the factor of `_pair_factors` over the distinct x gaps
+    gx[u] and y gaps gy[v]; K[0, 0] stands for no pair and is never read."""
     gx, ix = _axis_gaps(xs)
     gy, iy = _axis_gaps(ys)
     if gx.size * gy.size > TABLE_CAP:
         return None
-    table = np.empty((gx.size, gy.size))
-    np.hypot(gx[:, None], gy[None, :], out=table)
-    far = table > cutoff
-    with np.errstate(divide="ignore", invalid="ignore"):  # K[0, 0] = beta0 / 0
-        np.divide(beta0, table, out=table)
-    np.minimum(1.0, table, out=table)
-    np.copyto(table, 0.0, where=far)
-    np.subtract(1.0, table, out=table)
+    table = _pair_factors(gx[:, None], gy[None, :], beta0, cutoff)
     np.multiply(ix, gy.size, out=ix)
     return table.ravel(), ix, iy
 
@@ -324,6 +343,146 @@ def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -
     return survival
 
 
+# When a round takes the offset-table window path. A window costs about
+# 1 ns per lattice plant, against about 12 ns per susceptible target for
+# np.hypot on one CPU (full-scale lattice, 2-vCPU VM); they broke even at
+# targets of 1/12 of the plants. So a round needs at least WINDOW_MIN
+# plants, at least _WINDOW_TARGETS of them susceptible, and a lattice
+# with at most _WINDOW_EXCEPTIONS exceptions per plant, each of which adds
+# work to every window. Below 2 * MIN_SLICE plants no np.hypot round is
+# split across CPUs, and the lattices there without a kernel table (the
+# 12,000 to 15,000 plants of `compare`) ran no faster with windows.
+# Listing the gaps of an axis of n points takes n**2 / 2 subtractions, so
+# a lattice farther than about _WINDOW_ASPECT : 1 from square (a 2 x 10**7
+# strip) gets no offset table.
+WINDOW_MIN = 2 * MIN_SLICE
+_WINDOW_TARGETS = 1 / 12
+_WINDOW_EXCEPTIONS = 1 / 16
+_WINDOW_ASPECT = 16
+
+# The last offset table built, keyed as `_table_cache`, or None for a
+# lattice whose exception list is too long.
+_window_cache: tuple = (None, None)
+
+
+def _window_table(grid: PlantGrid, beta0: float, cutoff: float):
+    """The exact offset table of the grid's lattice (see `_build_window`),
+    or None when the lattice is too far from square or its exception list
+    is too long."""
+    global _window_cache
+    xs, ys = grid.xs, grid.ys
+    if xs.size * xs.size + ys.size * ys.size > _WINDOW_ASPECT * xs.size * ys.size:
+        return None
+    key = (xs.tobytes(), ys.tobytes(), beta0, cutoff)
+    cached = _window_cache
+    if cached[0] != key:
+        cached = _window_cache = (None, None)  # free the old table first
+        cached = _window_cache = (key, _build_window(xs, ys, beta0, cutoff))
+    return cached[1]
+
+
+def _offset_gaps(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct (offset k, gap |axis[a + k] - axis[a]|) of an axis,
+    sorted by offset and then by gap, as an offset array and a gap array.
+    (np.unique would do, but it imports numpy.ma, a megabyte of memory.)"""
+    n = axis.size
+    gaps = [np.sort(np.abs(axis[k:] - axis[: n - k])) for k in range(n)]
+    gaps = [g[np.append(g[1:] != g[:-1], True)] for g in gaps]
+    offsets = np.repeat(np.arange(n), [g.size for g in gaps])
+    return offsets, np.concatenate(gaps)
+
+
+def _seen(axis: np.ndarray, offsets: np.ndarray, gaps: np.ndarray, codes: np.ndarray):
+    """For signed gaps coded 2 * i + (sign < 0), i indexing `offsets` and
+    `gaps`: each code's index among the distinct codes, and the map over
+    (axis position a, distinct code) that is True where the signed offset
+    s lands on the axis, 0 <= a + s < len(axis), with a gap
+    |axis[a + s] - axis[a]| equal to the code's."""
+    n = axis.size
+    used = np.zeros(2 * offsets.size, dtype=bool)
+    used[codes] = True
+    slots = np.flatnonzero(used)
+    seen = np.zeros((n, slots.size), dtype=bool)
+    for v, code in enumerate(slots.tolist()):
+        s, g = int(offsets[code // 2]), gaps[code // 2]
+        if code % 2:
+            seen[s:, v] = np.abs(axis[: n - s] - axis[s:]) == g
+        else:
+            seen[: n - s, v] = np.abs(axis[s:] - axis[: n - s]) == g
+    return (np.cumsum(used) - 1)[codes], seen
+
+
+def _build_window(xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
+    """The offset table of a lattice and its exception list, or None when
+    the list holds more than _WINDOW_EXCEPTIONS entries per plant.
+
+    Row k and column ny - 1 + l of the (nx, 2 * ny - 1) table hold the
+    factor of `_pair_factors` at the gaps |xs[k] - xs[0]| and
+    |ys[l] - ys[0]|; its columns are reflected, so the window of the plant
+    at (r, c) is columns ny - 1 - c onwards, rows 0 up for the rows at and
+    after r and rows r down to 1 for the rows before it. A pair of plants
+    k rows and l columns apart has the table's factor unless float
+    rounding gives that offset another gap. Every (x offset, x gap,
+    y offset, y gap) whose factor differs is an exception; the list holds
+    one entry per exception and pair of offset signs: the flat-index shift
+    from the source to the target, the exact factor, and the columns of its
+    signed x and y gaps in the two maps of `_seen`.
+    """
+    nx, ny = xs.size, ys.size
+    gx, gy = np.abs(xs - xs[0]), np.abs(ys - ys[0])
+    table = _pair_factors(gx[:, None], np.concatenate((gy[:0:-1], gy))[None, :], beta0, cutoff)
+    kx, vx = _offset_gaps(xs)
+    ly, vy = (kx, vx) if np.array_equal(xs, ys) else _offset_gaps(ys)
+    columns = ly + (ny - 1)
+    bound = _WINDOW_EXCEPTIONS * nx * ny
+    found, count = [], 0
+    rows = max(1, _BLOCK // vy.size)
+    for a in range(0, vx.size, rows):
+        exact = _pair_factors(vx[a : a + rows, None], vy[None, :], beta0, cutoff)
+        i, j = np.nonzero(exact != table.take(kx[a : a + rows], axis=0).take(columns, axis=1))
+        count += i.size
+        if count > bound:
+            return None
+        found.append((i + a, j, exact[i, j]))
+    i, j, exact = (np.concatenate(parts) for parts in zip(*found))
+    k, l = kx[i], ly[j]
+    # Both signs of each nonzero offset: (k, l), (k, -l), (-k, l), (-k, -l).
+    keep = np.concatenate((np.ones(i.size, dtype=bool), l > 0, k > 0, (k > 0) & (l > 0)))
+    sk = np.concatenate((k, k, -k, -k))[keep]
+    sl = np.concatenate((l, -l, l, -l))[keep]
+    xv, x_seen = _seen(xs, kx, vx, 2 * np.tile(i, 4)[keep] + (sk < 0))
+    yv, y_seen = _seen(ys, ly, vy, 2 * np.tile(j, 4)[keep] + (sl < 0))
+    return table, sk * ny + sl, np.tile(exact, 4)[keep], xv, yv, x_seen, y_seen
+
+
+def _window_survival(window, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
+    """`_survival` by offset-table windows: a survival over the whole
+    lattice, and for each infected plant in ascending order, its table
+    window multiplied in. The running products of the plant's exception
+    targets are saved first and multiplied by their exact factors after,
+    so every target's product has the factors and the order of the
+    np.hypot path."""
+    table, shift, exact, xv, yv, x_seen, y_seen = window
+    nx, ny = x_seen.shape[0], y_seen.shape[0]
+    survival = np.ones((nx, ny))
+    flat = survival.reshape(-1)
+    for p in infected.tolist():
+        r, c = divmod(p, ny)
+        hit = np.flatnonzero(x_seen[r].take(xv) & y_seen[c].take(yv))
+        at = shift.take(hit)
+        at += p
+        saved = flat.take(at)
+        window_columns = table[:, ny - 1 - c : 2 * ny - 1 - c]
+        after = survival[r:]
+        np.multiply(after, window_columns[: nx - r], out=after)
+        if r:
+            before = survival[:r]
+            np.multiply(before, window_columns[r:0:-1], out=before)
+        np.multiply(saved, exact.take(hit), out=saved)
+        flat[at] = saved
+    return flat.take(targets)
+
+
 def _sliced_survival(
     grid: PlantGrid,
     targets: np.ndarray,
@@ -331,8 +490,8 @@ def _sliced_survival(
     beta0: float,
     cutoff: float,
 ) -> np.ndarray:
-    """`_survival` by np.hypot per pair, for lattices without a table; it
-    is also the tests' oracle for the table.
+    """`_survival` by np.hypot per pair, for rounds that read no table; it
+    is also the tests' oracle for both tables.
 
     The targets are cut into contiguous slices, at most one per CPU and
     none shorter than MIN_SLICE; the first runs in the calling thread and
@@ -340,13 +499,17 @@ def _sliced_survival(
     allocated here, and each slice works in its own views of them.
     """
     n = targets.size
-    xs = grid.positions[targets, 0]
-    ys = grid.positions[targets, 1]
+    ny = grid.ys.size
+    rows, columns = np.divmod(targets, ny)
+    xs = grid.xs.take(rows)
+    ys = grid.ys.take(columns)
+    del rows, columns
     survival = np.ones(n)
     dist = np.empty(n)
     keep = np.empty(n)  # scratch; each pass ends with 1 - p in it
     far = np.empty(n, dtype=bool) if cutoff < grid.span_m else None
-    sources = grid.positions[infected].tolist()
+    source_x, source_y = np.divmod(infected, ny)
+    sources = list(zip(grid.xs.take(source_x).tolist(), grid.ys.take(source_y).tolist()))
 
     def run_slice(a: int, b: int) -> None:
         _survival_slice(
@@ -403,10 +566,16 @@ def _draw_infections(
     cutoff = params.beta0 / epsilon_p if epsilon_p > 0 else math.inf
     survival = _survival(grid, susceptible, infected, params.beta0, cutoff)
     at_risk = survival < 1.0
-    candidates = susceptible[at_risk]  # ascending: fixes the draw order
-    if candidates.size == 0:
-        return candidates
-    return candidates[rng.random(candidates.size) < 1.0 - survival[at_risk]]
+    # The candidates stay ascending: that fixes the draw order. Rebinding
+    # the names frees the full-length arrays when only some are at risk,
+    # and no copy is made when all are.
+    if not at_risk.all():
+        susceptible, survival = susceptible[at_risk], survival[at_risk]
+    del at_risk
+    if susceptible.size == 0:
+        return susceptible
+    np.subtract(1.0, survival, out=survival)  # the infection probabilities
+    return susceptible[rng.random(susceptible.size) < survival]
 
 
 def step(

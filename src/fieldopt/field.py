@@ -9,12 +9,14 @@ There is no spatial index. At the paper's parameters the infection cutoff
 beta0 / epsilon_p is 3 km, far beyond any field diagonal, so an index
 would prune nothing. `neighbors_within` scans all positions and filters
 by exact Euclidean distance; it is the test oracle for the engine's
-infection kernel. A grid keeps the lattice axes its positions come from,
-so the engine can build its kernel table over the distinct axis gaps.
+infection kernel. A grid is its lattice axes: the engine builds its kernel
+tables from the axis gaps, and the (count, 2) positions array, 16 B per
+plant, is built only when a caller asks for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,11 +29,13 @@ from .scenario import FieldSpec, SeedingStrategy, ValidationError
 _SNAP = 1e-9
 
 # Most plants one lattice may hold; `Scenario` enforces it. A season holds
-# about 70 bytes per plant at its peak: 21 for positions and state, 48 for
-# the per-pair infection kernel's work arrays over the susceptible plants
-# (see the README). This caps one season near 1.4 GB. The kernel table
-# path keeps fewer bytes per susceptible plant, plus at most 1.75 MiB of
-# table and block buffers, on lattices of at most 65,536 plants.
+# about 54 bytes per plant at its peak: 5 for the plant states and 48 for
+# the np.hypot kernel's work arrays over the susceptible plants, plus a
+# 1-byte mask when the cutoff truncates (see the README). This caps one
+# season near 1.1 GB. The offset-table path keeps about 19 bytes of table
+# per plant and 24 of work arrays instead; the small-lattice kernel table
+# keeps fewer bytes per susceptible plant, plus at most 1.75 MiB of table
+# and block buffers, on lattices of at most 65,536 plants.
 MAX_PLANTS = 20_000_000
 
 
@@ -69,14 +73,23 @@ def lattice_capacities(field: FieldSpec, dx: np.ndarray, dy: np.ndarray) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class PlantGrid:
-    """Immutable plant positions, and the lattice axes they come from:
-    plant p sits at (xs[p // len(ys)], ys[p % len(ys)])."""
+    """A lattice of plants: plant p sits at (xs[p // len(ys)], ys[p % len(ys)])."""
 
-    positions: np.ndarray  # (count, 2) float64, row-major lattice order
     count: int
     span_m: float  # diagonal of the occupied bounding box: no pair is farther
     xs: np.ndarray  # the x coordinates of the occupied rows, ascending
     ys: np.ndarray  # the y coordinates of the occupied columns, ascending
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        """(count, 2) float64 plant coordinates in row-major lattice order,
+        built on first use: 16 B per plant that the infection kernel does
+        not need."""
+        nx, ny = self.xs.size, self.ys.size
+        positions = np.empty((nx, ny, 2))
+        positions[:, :, 0] = self.xs[:, None]
+        positions[:, :, 1] = self.ys[None, :]
+        return positions.reshape(nx * ny, 2)[: self.count]
 
     def neighbor_arrays(self, index: int, radius_m: float):
         """Indices (ascending) and exact distances of plants within
@@ -116,11 +129,6 @@ def layout_grid(
     # width by an ulp or two.
     xs = np.minimum(np.arange(nx, dtype=np.float64) * strategy.dx_m, field.width_m)
     ys = np.minimum(np.arange(ny, dtype=np.float64) * strategy.dy_m, field.height_m)
-    positions = np.empty((capacity, 2), dtype=np.float64)
-    positions[:, 0] = np.repeat(xs, ny)
-    positions[:, 1] = np.tile(ys, nx)
-    if explicit_count is not None:
-        positions = positions[:explicit_count]
     # A row-major prefix of c plants occupies rows up to (c - 1) // ny and
     # columns up to min(c, ny) - 1; when c < ny it is one row of c plants,
     # so p // len(ys) and p % len(ys) still give each plant's row and
@@ -128,10 +136,10 @@ def layout_grid(
     # their last entries, as positions.max(axis=0) - positions.min(axis=0)
     # would give. np.hypot, as for pair distances, so no pair distance
     # exceeds span_m.
-    c = len(positions)
+    c = capacity if explicit_count is None else explicit_count
     xs, ys = xs[: (c - 1) // ny + 1], ys[: min(c, ny)]
     span = float(np.hypot(xs[-1] - xs[0], ys[-1] - ys[0]))
-    return PlantGrid(positions=positions, count=c, span_m=span, xs=xs, ys=ys)
+    return PlantGrid(count=c, span_m=span, xs=xs, ys=ys)
 
 
 def spacing_from_count(field: FieldSpec, n: int) -> SeedingStrategy:

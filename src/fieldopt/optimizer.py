@@ -39,6 +39,12 @@ from .worstcase import analytic_profit, analytic_profits
 # at delta 0.05 m) has 3,996,001. A search holds a few float64 arrays of
 # this length, 40 MB each at the cap.
 MAX_CANDIDATES = 5_000_000
+# Most candidates times rounds one analytic search may score. Its cost is
+# about 0.24 us per candidate-round (the per-round `v**t` and `math.log`
+# lists), so the cap is about 5 s on a 2-vCPU VM; the CLI default grid at
+# the default 3 rounds is 1.2e7 candidate-rounds, and at 1,000 rounds it
+# would have run about 16 minutes.
+MAX_CANDIDATE_ROUNDS = 20_000_000
 # Analytic scoring works through the candidates in blocks of at most this
 # many, so its temporaries (Python lists of floats among them) stay small.
 _BLOCK = 1 << 16
@@ -228,9 +234,10 @@ def optimize(
 
     Grid search enumerates the delta-stepped lattice; Monte Carlo draws
     `budget` spacings uniformly from the continuous box. Either may hold
-    at most MAX_CANDIDATES candidates. Any explicit plant-count override
-    on the scenario is dropped (the spacing under test determines the
-    population). The best candidate is the one `select_best` picks: ties
+    at most MAX_CANDIDATES candidates, and analytic scoring at most
+    MAX_CANDIDATE_ROUNDS candidates times horizon_steps. Any explicit
+    plant-count override on the scenario is dropped (the spacing under
+    test determines the population). The best candidate is the one `select_best` picks: ties
     break toward the larger cell area dx*dy (sparser seeding), then
     lexicographically. The densest candidate lattice (min_spacing in
     both axes) must have a finite plant count, and every candidate a
@@ -247,6 +254,12 @@ def optimize(
         raise ValidationError("infeasible: W or H below the minimal seeding distance")
 
     if mode is ScoreMode.ANALYTIC:
+        rounds = len(dx) * scenario.horizon_steps
+        if rounds > MAX_CANDIDATE_ROUNDS:
+            raise ValidationError(
+                f"invariant violated: candidates x horizon_steps <= MAX_CANDIDATE_ROUNDS "
+                f"({MAX_CANDIDATE_ROUNDS}), got {len(dx)} x {scenario.horizon_steps}"
+            )
         profit = np.empty(len(dx))
         size = min(_BLOCK, _BOUND_ELEMENTS // scenario.horizon_steps)
         # Prices that overflow are caught by the finiteness check below.

@@ -369,6 +369,7 @@ def test_readme_has_examples_of_every_subcommand():
         ["optimize", "--set", "run.horizon_steps=1000000000", "--delta", "5"],
         ["simulate", "--set", "run.horizon_steps=100000000",
          "--set", "field.width_m=1", "--set", "field.height_m=1"],
+        ["optimize", "--set", "run.horizon_steps=1000"],
     ],
 )
 def test_bad_numbers_exit_1_without_traceback(argv):

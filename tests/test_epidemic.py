@@ -529,9 +529,7 @@ table_cases = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=150)
-@given(table_cases)
-def test_table_kernel_matches_hypot_loop(case):
+def _table_case_grid(case):
     field = FieldSpec(width_m=case["x"][0], height_m=case["y"][0])
     strategy = SeedingStrategy(dx_m=case["x"][1], dy_m=case["y"][1])
     grid = layout_grid(field, strategy)
@@ -541,6 +539,13 @@ def test_table_kernel_matches_hypot_loop(case):
     if isinstance(cutoff, tuple):
         gx, gy = _table_inputs(grid)
         cutoff = float(np.hypot(gx[cutoff[0] % gx.size], gy[cutoff[1] % gy.size]))
+    return grid, cutoff
+
+
+@settings(max_examples=150)
+@given(table_cases)
+def test_table_kernel_matches_hypot_loop(case):
+    grid, cutoff = _table_case_grid(case)
     _assert_hypot_ignores_signs(grid)
     _assert_table_matches_loop(grid, case["seed"], case["beta0"], cutoff, case["block"])
 
@@ -627,6 +632,178 @@ def test_seasons_are_the_same_with_and_without_the_table(mode):
             loop = run(sc)
         assert table.trajectory == loop.trajectory
         assert repr(table.total_profit) == repr(loop.total_profit)
+
+
+# -- the offset-table window kernel against the np.hypot loop -------------------
+
+
+@contextlib.contextmanager
+def _windows(exceptions=math.inf):
+    # Every round of any lattice without a kernel table takes the window path:
+    # any shape, and any exception list unless `exceptions` bounds it.
+    with mock.patch.object(epidemic, "TABLE_CAP", 0), mock.patch.object(
+        epidemic, "WINDOW_MIN", 0
+    ), mock.patch.object(epidemic, "_WINDOW_TARGETS", 0.0), mock.patch.object(
+        epidemic, "_WINDOW_EXCEPTIONS", exceptions
+    ), mock.patch.object(epidemic, "_WINDOW_ASPECT", math.inf):
+        yield
+
+
+def _assert_window_matches_loop(grid, seed, beta0, cutoff):
+    states = _random_states(grid.count, 3, seed)
+    susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
+    infected = np.flatnonzero(states.status == Status.INFECTED)
+    with _windows():
+        assert epidemic._window_table(grid, beta0, cutoff) is not None
+        window = epidemic._survival(grid, susceptible, infected, beta0, cutoff)
+    loop = epidemic._sliced_survival(grid, susceptible, infected, beta0, cutoff)
+    assert np.array_equal(window, loop)  # bit for bit
+
+
+@settings(max_examples=150)
+@given(table_cases)
+def test_window_kernel_matches_hypot_loop(case):
+    grid, cutoff = _table_case_grid(case)
+    _assert_hypot_ignores_signs(grid)
+    _assert_window_matches_loop(grid, case["seed"], case["beta0"], cutoff)
+
+
+@settings(max_examples=60)
+@given(table_cases)
+def test_the_exception_list_is_complete(case):
+    # For every pair of plants, the pair's factor from its own gaps is the
+    # table's factor at its offsets, unless the pair is among the exception
+    # targets of its source, with that factor.
+    grid, cutoff = _table_case_grid(case)
+    beta0 = case["beta0"]
+    with _windows():
+        table, shift, exact, xv, yv, x_seen, y_seen = epidemic._window_table(grid, beta0, cutoff)
+    nx, ny = grid.xs.size, grid.ys.size
+    rows, columns = np.divmod(np.arange(nx * ny), ny)
+    for p in range(nx * ny):
+        r, c = divmod(p, ny)
+        gaps = np.abs(grid.xs[rows] - grid.xs[r]), np.abs(grid.ys[columns] - grid.ys[c])
+        factors = epidemic._pair_factors(*gaps, beta0, cutoff)
+        offsets = table[np.abs(rows - r), ny - 1 + np.abs(columns - c)]
+        hit = np.flatnonzero(x_seen[r].take(xv) & y_seen[c].take(yv))
+        targets = shift[hit] + p
+        assert set(targets.tolist()) == set(np.flatnonzero(factors != offsets).tolist())
+        # beta0 = 0 makes the pair of a plant with itself 0 / 0, an exception.
+        assert np.array_equal(exact[hit], factors[targets], equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "width, spacing, explicit_count",
+    [
+        (0.6, 0.2, None),  # 3 * 0.2 overshoots 0.6: the last row is clamped
+        (0.7, 0.1, 30),  # clamped, and a prefix that ends inside a row
+        (6.0, 0.5, 5),  # a prefix shorter than one row
+    ],
+)
+@pytest.mark.parametrize(
+    "beta0, cutoff",
+    [
+        (0.6, math.inf),  # beta0 >= spacing: p = 1 pairs; no cutoff
+        (0.003, 0.5),  # truncates
+        (0.002, 2.0),  # truncates exactly at a lattice distance
+    ],
+)
+def test_window_kernel_cases(width, spacing, explicit_count, beta0, cutoff):
+    grid = layout_grid(FieldSpec(width, width), SeedingStrategy(spacing, spacing), explicit_count)
+    for seed in range(5):
+        _assert_window_matches_loop(grid, seed, beta0, cutoff)
+
+
+@pytest.mark.parametrize(
+    "beta0, cutoff",
+    [
+        (0.001, 1000.0),  # the paper's beta0 range and epsilon_p = 1e-6
+        (0.003, 3000.0),
+        (0.005, 5000.0),
+        (0.003, 12.5),  # truncates inside the field
+    ],
+)
+def test_a_full_scale_round_takes_the_window_path(beta0, cutoff):
+    grid = layout_grid(FieldSpec(), SeedingStrategy())  # 251,001 plants
+    states = _random_states(grid.count, 3, 0)
+    susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
+    infected = np.flatnonzero(states.status == Status.INFECTED)[::4000]  # 16 plants
+    assert grid.count >= epidemic.WINDOW_MIN
+    with mock.patch.object(epidemic, "_sliced_survival", side_effect=AssertionError("hypot")):
+        window = epidemic._survival(grid, susceptible, infected, beta0, cutoff)
+    loop = epidemic._sliced_survival(grid, susceptible, infected, beta0, cutoff)
+    assert np.array_equal(window, loop)
+
+
+def test_a_long_exception_list_falls_back_to_hypot():
+    grid = layout_grid(FieldSpec(4.0, 4.0), SeedingStrategy(0.3, 0.3))
+    states = _random_states(grid.count, 3, 1)
+    susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
+    infected = np.flatnonzero(states.status == Status.INFECTED)
+    with _windows():
+        assert epidemic._window_table(grid, 0.3, math.inf)[1].size > 0  # it has exceptions
+    sliced = mock.Mock(wraps=epidemic._sliced_survival)
+    with _windows(exceptions=0.0), mock.patch.object(
+        epidemic, "_window_cache", (None, None)
+    ), mock.patch.object(epidemic, "_sliced_survival", sliced):
+        assert epidemic._window_table(grid, 0.3, math.inf) is None
+        survival = epidemic._survival(grid, susceptible, infected, 0.3, math.inf)
+    assert sliced.call_count == 1
+    assert np.array_equal(survival, epidemic._sliced_survival(grid, susceptible, infected, 0.3,
+                                                              math.inf))
+
+
+def test_a_sparse_round_falls_back_to_hypot():
+    # 1/16 of the full-scale lattice is susceptible: below the window share.
+    grid = layout_grid(FieldSpec(), SeedingStrategy())
+    susceptible = np.arange(3, grid.count, 16)
+    infected = np.array([0, 1, 2, 125_000])
+    assert susceptible.size < epidemic._WINDOW_TARGETS * grid.count
+    with mock.patch.object(epidemic, "_window_table", side_effect=AssertionError("window")):
+        survival = epidemic._survival(grid, susceptible, infected, 0.003, 3000.0)
+    with _windows():
+        window = epidemic._survival(grid, susceptible, infected, 0.003, 3000.0)
+    assert np.array_equal(survival, window)
+
+
+def test_a_strip_lattice_builds_no_window_table():
+    strip = layout_grid(FieldSpec(0.2, 10.0), SeedingStrategy(0.2, 0.02))  # 2 x 501 plants
+    with mock.patch.object(epidemic, "_build_window", side_effect=AssertionError("build")):
+        assert epidemic._window_table(strip, 0.003, math.inf) is None
+
+
+def test_lattices_of_one_shape_get_their_own_window_tables():
+    spacings = (0.25, 0.5, 0.25, 0.3)
+    tables = []
+    for spacing in spacings:
+        grid = layout_grid(FieldSpec(2.0, 2.0 * spacing / 0.25),
+                           SeedingStrategy(0.25, spacing))
+        assert (grid.xs.size, grid.ys.size) == (9, 9)
+        with _windows():
+            tables.append(epidemic._window_table(grid, 0.3, math.inf)[0].copy())
+        _assert_window_matches_loop(grid, 0, 0.3, math.inf)
+        del grid
+    assert np.array_equal(tables[0], tables[2])
+    assert not np.array_equal(tables[0], tables[1])
+    assert not np.array_equal(tables[1], tables[3])
+
+
+@pytest.mark.parametrize("mode", list(PlacementMode))
+def test_seasons_are_the_same_with_and_without_windows(mode):
+    scenario = _scenario(
+        field=FieldSpec(4.0, 4.0),
+        pathogen=PathogenParams(beta0=0.3, gamma=0.2, initial_infected=3),
+        horizon_steps=6,
+        placement_mode=mode,
+    )
+    for seed in range(3):
+        sc = replace(scenario, rng_seed=seed)
+        with _windows():
+            window = run(sc)
+        with mock.patch.object(epidemic, "TABLE_CAP", 0):
+            loop = run(sc)
+        assert window.trajectory == loop.trajectory
+        assert repr(window.total_profit) == repr(loop.total_profit)
 
 
 # -- batches of seasons ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from fieldopt import (
     neighbors_within,
     spacing_from_count,
 )
-from fieldopt.field import axis_count, lattice_size
+from fieldopt import epidemic
+from fieldopt.field import PlantGrid, axis_count, lattice_size
+from fieldopt.scenario import scenario_default
 
 
 def test_lattice_shape_examples():
@@ -219,3 +222,44 @@ def test_axis_count_takes_scalars_and_arrays():
         counts = axis_count(np.array(lengths), np.array(spacings))
     assert counts.tolist() == [axis_count(a, b) for a, b in zip(lengths, spacings)]
     assert counts.tolist() == [501.0, 8.0, 4.0, math.inf]
+
+
+def _old_positions(field, strategy, explicit_count):
+    # The layout `layout_grid` stored before positions were built on demand.
+    nx, ny = lattice_shape(field, strategy)
+    xs = np.minimum(np.arange(nx, dtype=np.float64) * strategy.dx_m, field.width_m)
+    ys = np.minimum(np.arange(ny, dtype=np.float64) * strategy.dy_m, field.height_m)
+    positions = np.empty((nx * ny, 2), dtype=np.float64)
+    positions[:, 0] = np.repeat(xs, ny)
+    positions[:, 1] = np.tile(ys, nx)
+    return positions if explicit_count is None else positions[:explicit_count]
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 60),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 0.37]),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 0.25]),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+@example(7, 7, 0.1, 0.1, None)  # 7 * 0.1 overshoots 0.7: the last row is clamped
+@example(7, 3, 0.1, 0.1, 0.2)  # clamped, and a prefix shorter than one row
+def test_positions_keep_their_layout(kx, ky, dx, dy, prefix):
+    # Decimal fields k spacings wide, so boundary rows are often clamped.
+    field = FieldSpec(round(kx * dx, 9), round(ky * dy, 9))
+    strategy = SeedingStrategy(dx, dy)
+    capacity = lattice_capacity(field, strategy)
+    count = None if prefix is None else max(1, round(prefix * capacity))
+    positions = layout_grid(field, strategy, count).positions
+    old = _old_positions(field, strategy, count)
+    assert positions.dtype == old.dtype and positions.shape == old.shape
+    assert positions.tobytes() == old.tobytes()
+
+
+def test_a_random_full_scale_season_builds_no_positions():
+    built = mock.PropertyMock(side_effect=AssertionError("positions"))
+    with mock.patch.object(PlantGrid, "positions", built):
+        result = epidemic.run(scenario_default())  # 251,001 plants, random placement
+    assert built.call_count == 0
+    assert result.trajectory.s_count[0] == 251_001 - 3

@@ -452,6 +452,21 @@ def test_long_horizons_score_in_shorter_blocks_with_the_same_bits():
     assert blocked == whole
 
 
+def test_candidate_rounds_are_capped_before_scoring():
+    scenario = _scenario(field=FieldSpec(1.3, 0.9), horizon_steps=7)
+    count = len(optimize(scenario, delta=0.05).dx_m)
+    with mock.patch.object(optimizer, "MAX_CANDIDATE_ROUNDS", 7 * count):
+        optimize(scenario, delta=0.05)
+    with mock.patch.object(optimizer, "MAX_CANDIDATE_ROUNDS", 7 * count - 1), mock.patch.object(
+        optimizer, "analytic_profits", side_effect=AssertionError("scored")
+    ):
+        with pytest.raises(ValidationError, match="MAX_CANDIDATE_ROUNDS"):
+            optimize(scenario, delta=0.05)
+    # Simulated scoring is not bound by it.
+    with mock.patch.object(optimizer, "MAX_CANDIDATE_ROUNDS", 0):
+        optimize(scenario, delta=0.5, mode=ScoreMode.SIMULATED, n_reps=1)
+
+
 @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
 def test_delta_must_be_finite_and_positive(delta):
     with pytest.raises(ValidationError, match="delta is finite and > 0"):
