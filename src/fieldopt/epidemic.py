@@ -249,7 +249,8 @@ TABLE_CAP = 1 << 17
 
 # (source, target) pairs per block of gathered table indices and factors
 # in `_table_survival`: 256 KiB at 16 B each (two int32 indices and one
-# float64 factor).
+# float64 factor). `_build_window` checks its gap pairs in blocks of as
+# many.
 _BLOCK = 1 << 14
 
 # The last table built, keyed by every value it depends on: (x axis bytes,
