@@ -23,7 +23,10 @@ factor at each (row offset, column offset), and the short list of
 round with enough susceptible plants multiplies, for each infected plant,
 the table window centred on it into a survival over the whole lattice and
 then puts back the exact factor at its exception targets: the same bits
-again, at about 1 ns per lattice plant.
+again. It does so one band of lattice rows at a time, so the band stays in
+cache while every infected plant's window passes over it: about 0.8 to
+1.4 ns per lattice plant and infected plant, the less the more plants are
+infected. The window path runs on one CPU; see _BAND for why.
 
 The last table of each kind is cached by the lattice and pathogen values,
 so the seasons of a batch, and consecutive batches on one lattice, share
@@ -112,6 +115,9 @@ class PlantStates:
         self.status[indices] = _INFECTED
         self.infected_at[indices] = round_index
 
+    def remove(self, indices) -> None:
+        self.status[indices] = _REMOVED
+
     def counts(self) -> tuple[int, int, int]:
         c = np.bincount(self.status, minlength=3)
         return int(c[_SUSCEPTIBLE]), int(c[_INFECTED]), int(c[_REMOVED])
@@ -128,6 +134,33 @@ class PlantStates:
         dup.status = self.status.copy()
         dup.infected_at = self.infected_at.copy()
         return dup
+
+
+class _SeasonStates(PlantStates):
+    """The states of one `_season`, which also keep its S/I/R counts. The
+    engine infects only susceptible plants and removes only infected ones,
+    each index once per call, so a call moves exactly len(indices) plants
+    from one count to the next: `counts` costs nothing per round, where
+    `PlantStates.counts` counts every plant."""
+
+    __slots__ = ("_counts",)
+
+    def __init__(self, count: int):
+        super().__init__(count)
+        self._counts = (count, 0, 0)
+
+    def infect(self, indices, round_index: int) -> None:
+        super().infect(indices, round_index)
+        s, i, r = self._counts
+        self._counts = (s - len(indices), i + len(indices), r)
+
+    def remove(self, indices) -> None:
+        super().remove(indices)
+        s, i, r = self._counts
+        self._counts = (s, i - len(indices), r + len(indices))
+
+    def counts(self) -> tuple[int, int, int]:
+        return self._counts
 
 
 @dataclass(frozen=True)
@@ -315,8 +348,8 @@ def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -
     """`_survival` by lookup: for each infected plant in ascending order,
     gather every target's factor from the table and multiply it into the
     survival. Blocks of at most _BLOCK (source, target) pairs bound the
-    buffers: at most _BLOCK targets at a time, and as many sources as fit;
-    each source row is still multiplied in on its own, in order."""
+    gathered arrays: at most _BLOCK targets at a time, and as many sources
+    as fit; each source row is still multiplied in on its own, in order."""
     factors, ix, iy = table
     n = targets.size
     target_x, target_y = np.divmod(targets, ny)
@@ -324,33 +357,28 @@ def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -
     survival = np.ones(n)
     width = max(1, min(n, _BLOCK))
     rows = _BLOCK // width
-    index = np.empty((min(rows, infected.size), width), dtype=np.int32)
-    scratch = np.empty_like(index)
-    keep = np.empty(index.shape)
+    # Each block allocates its own arrays: against a block's work that
+    # costs little, and a call with one small block (a round of a few
+    # plants) skips the set-up of reusable buffers.
     for c in range(0, n, width):
         tx, ty = target_x[c : c + width], target_y[c : c + width]
         product = survival[c : c + width]
         for a in range(0, infected.size, rows):
-            b = min(a + rows, infected.size)
-            block, part, out = (buf[: b - a, : tx.size] for buf in (index, scratch, keep))
-            # mode="clip" writes straight into `out`; "raise" would buffer
-            # it. Every index is in range, so clipping changes none.
-            ix[source_x[a:b]].take(tx, axis=1, out=block, mode="clip")
-            iy[source_y[a:b]].take(ty, axis=1, out=part, mode="clip")
-            np.add(block, part, out=block)
-            factors.take(block, out=out, mode="clip")
-            for row in out:
+            index = ix.take(source_x[a : a + rows], axis=0).take(tx, axis=1)
+            index += iy.take(source_y[a : a + rows], axis=0).take(ty, axis=1)
+            for row in factors.take(index):
                 np.multiply(product, row, out=product)
     return survival
 
 
 # When a round takes the offset-table window path. A window costs about
-# 1 ns per lattice plant, against about 12 ns per susceptible target for
-# np.hypot on one CPU (full-scale lattice, 2-vCPU VM); they broke even at
-# targets of 1/12 of the plants. So a round needs at least WINDOW_MIN
-# plants, at least _WINDOW_TARGETS of them susceptible, and a lattice
-# with at most _WINDOW_EXCEPTIONS exceptions per plant, each of which adds
-# work to every window. Below 2 * MIN_SLICE plants no np.hypot round is
+# 0.8 to 1.4 ns per lattice plant, against about 12 to 16 ns per
+# susceptible target for np.hypot on one CPU (full-scale lattice, 2-vCPU
+# VM); they broke even at targets of 1/11 of the plants with 3 infected
+# plants and at 1/17 with 76, and 1/12 lies between. So a round needs at
+# least WINDOW_MIN plants, at least _WINDOW_TARGETS of them susceptible,
+# and a lattice with at most _WINDOW_EXCEPTIONS exceptions per plant, each
+# of which adds work to every window. Below 2 * MIN_SLICE plants no np.hypot round is
 # split across CPUs, and the lattices there without a kernel table (the
 # 12,000 to 15,000 plants of `compare`) ran no faster with windows.
 # Listing the gaps of an axis of n points takes n**2 / 2 subtractions, so
@@ -453,35 +481,85 @@ def _build_window(xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
     sl = np.concatenate((l, -l, l, -l))[keep]
     xv, x_seen = _seen(xs, kx, vx, 2 * np.tile(i, 4)[keep] + (sk < 0))
     yv, y_seen = _seen(ys, ly, vy, 2 * np.tile(j, 4)[keep] + (sl < 0))
-    return table, sk * ny + sl, np.tile(exact, 4)[keep], xv, yv, x_seen, y_seen
+    shift = sk * ny + sl
+    # Sorted by shift, a plant's exception targets come out ascending.
+    order = np.argsort(shift, kind="stable")
+    exact = np.tile(exact, 4)[keep]
+    return table, shift[order], exact[order], xv[order], yv[order], x_seen, y_seen
+
+
+# Survival entries per band of lattice rows in `_window_survival` (512 KiB),
+# and about the most exception targets it holds at once. A band stays in L2
+# while every infected plant's window rows are multiplied into it, where a
+# lattice-wide pass per plant streams the 2 MB full-scale survival, and
+# its table window, from L3 each time. Full-scale seasons with bands of 65,
+# 130 and 261 rows ran 36.5, 35.1 and 37.4 ms, and with one band of all
+# 501 rows 38.6 ms (medians of 3 x 12 seasons, loaded 2-vCPU VM). The bands
+# are not spread over threads: on that shared VM two threads multiplying
+# cache-resident 128 x 501 blocks ran 0.97x to 1.78x of one thread from one
+# run to the next, with the load on the other vCPU, while the bands' gain
+# needs no second CPU.
+_BAND = 1 << 16
 
 
 def _window_survival(window, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
     """`_survival` by offset-table windows: a survival over the whole
-    lattice, and for each infected plant in ascending order, its table
-    window multiplied in. The running products of the plant's exception
-    targets are saved first and multiplied by their exact factors after,
-    so every target's product has the factors and the order of the
-    np.hypot path."""
+    lattice, and each infected plant's table window multiplied into it, in
+    ascending plant order. The lattice is cut into bands of rows, and each
+    band takes every plant's window rows before the next band starts.
+    Within a band, the running products of the plant's exception targets
+    in that band are saved just before its multiply and multiplied by
+    their exact factors after, so every target's product has the factors
+    and the order of the np.hypot path.
+
+    The plants' exception targets are found once per plant; plants are
+    taken in groups whose targets number about _BAND, so their memory stays
+    bounded however many plants are infected."""
     table, shift, exact, xv, yv, x_seen, y_seen = window
     nx, ny = x_seen.shape[0], y_seen.shape[0]
     survival = np.ones((nx, ny))
-    flat = survival.reshape(-1)
+    rows = max(1, _BAND // ny)
+    edges = np.arange(rows, nx, rows) * ny  # the flat index of each later band
+    group, held = [], 0
     for p in infected.tolist():
         r, c = divmod(p, ny)
         hit = np.flatnonzero(x_seen[r].take(xv) & y_seen[c].take(yv))
         at = shift.take(hit)
         at += p
-        saved = flat.take(at)
-        window_columns = table[:, ny - 1 - c : 2 * ny - 1 - c]
-        after = survival[r:]
-        np.multiply(after, window_columns[: nx - r], out=after)
-        if r:
-            before = survival[:r]
-            np.multiply(before, window_columns[r:0:-1], out=before)
-        np.multiply(saved, exact.take(hit), out=saved)
-        flat[at] = saved
-    return flat.take(targets)
+        cuts = [0, *np.searchsorted(at, edges).tolist(), at.size]
+        group.append((r, table[:, ny - 1 - c : 2 * ny - 1 - c], at, exact.take(hit), cuts))
+        held += hit.size
+        if held >= _BAND:
+            _apply_windows(survival, rows, group)
+            group, held = [], 0
+    _apply_windows(survival, rows, group)
+    return survival.reshape(-1).take(targets)
+
+
+def _apply_windows(survival: np.ndarray, rows: int, group: list) -> None:
+    """Multiply the windows of `group`'s plants into `survival`, band by
+    band of `rows` rows, and put back each plant's exact factors at its
+    exception targets in the band (see `_window_survival`)."""
+    nx = survival.shape[0]
+    flat = survival.reshape(-1)
+    for band, a in enumerate(range(0, nx, rows)):
+        b = min(a + rows, nx)
+        for r, window_columns, at, exact, cuts in group:
+            lo, hi = cuts[band], cuts[band + 1]
+            if lo < hi:
+                band_at = at[lo:hi]
+                saved = flat.take(band_at)
+            if r < b:  # rows at and after the plant's: table rows up from 0
+                s = max(a, r)
+                after = survival[s:b]
+                np.multiply(after, window_columns[s - r : b - r], out=after)
+            if a < r:  # rows before it: table rows down to 1
+                e = min(b, r)
+                before = survival[a:e]
+                np.multiply(before, window_columns[r - a : r - e : -1], out=before)
+            if lo < hi:
+                np.multiply(saved, exact[lo:hi], out=saved)
+                flat[band_at] = saved
 
 
 def _sliced_survival(
@@ -608,7 +686,7 @@ def step(
     else:
         removed = infected[rng.random(infected.size) < params.gamma]
     fresh = _draw_infections(grid, status, infected, params, rng, epsilon_p)
-    status[removed] = _REMOVED
+    states.remove(removed)
     if fresh.size:
         states.infect(fresh, round_index + 1)
     return states
@@ -692,7 +770,7 @@ def _season(
         initial = place_initial_infected(
             grid, pathogen.initial_infected, scenario.placement_mode, rng
         )
-    states = PlantStates(grid.count)
+    states = _SeasonStates(grid.count)
     states.infect(initial, 1)
 
     s_list, i_list, r_list = [], [], []

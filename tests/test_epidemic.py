@@ -288,6 +288,55 @@ def test_run_conservation_property(params):
     assert all(a >= b for a, b in zip(traj.s_count, traj.s_count[1:]))
 
 
+def _season_with_oracle_counts(scenario, **options):
+    # The season's trajectory, and PlantStates.counts() (a bincount over
+    # every plant) before the first round and after every round.
+    seen = []
+    real_step = epidemic.step
+
+    def counted_step(grid, states, *args, **kwargs):
+        if not seen:
+            seen.append(PlantStates.counts(states))
+        real_step(grid, states, *args, **kwargs)
+        seen.append(PlantStates.counts(states))
+        return states
+
+    with mock.patch.object(epidemic, "step", counted_step):
+        trajectory = run(scenario, **options).trajectory
+    return list(zip(trajectory.s_count, trajectory.i_count, trajectory.r_count)), seen
+
+
+@pytest.mark.parametrize("mode", list(PlacementMode))
+@pytest.mark.parametrize("deterministic_duration", [False, True])
+@pytest.mark.parametrize(
+    "pathogen, explicit_count",
+    [
+        (PathogenParams(beta0=0.05, gamma=0.3, initial_infected=3), None),
+        # gamma = 1: every round removes every plant infected at its start.
+        (PathogenParams(beta0=0.05, gamma=1.0, initial_infected=3), None),
+        # 40 of the 9 x 9 lattice's plants: the last row holds 4 of 9.
+        (PathogenParams(beta0=0.05, gamma=0.3, initial_infected=2), 40),
+    ],
+)
+def test_trajectory_counts_are_the_counts_after_every_round(
+    mode, deterministic_duration, pathogen, explicit_count
+):
+    for seed in range(3):
+        scenario = _scenario(
+            pathogen=pathogen,
+            horizon_steps=8,
+            placement_mode=mode,
+            explicit_count=explicit_count,
+            rng_seed=seed,
+        )
+        counts, oracle = _season_with_oracle_counts(
+            scenario, deterministic_duration=deterministic_duration
+        )
+        assert counts == oracle
+        if pathogen.gamma == 1.0:  # the first round removes all k seeds
+            assert counts[1][2] == pathogen.initial_infected
+
+
 # -- cutoff soundness ---------------------------------------------------------
 
 
@@ -651,6 +700,7 @@ def _windows(exceptions=math.inf):
 
 def _assert_window_matches_loop(grid, seed, beta0, cutoff):
     states = _random_states(grid.count, 3, seed)
+    states.status[[0, grid.count - 1]] = Status.INFECTED  # sources in the first and last rows
     susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
     infected = np.flatnonzero(states.status == Status.INFECTED)
     with _windows():
@@ -710,8 +760,35 @@ def test_the_exception_list_is_complete(case):
 )
 def test_window_kernel_cases(width, spacing, explicit_count, beta0, cutoff):
     grid = layout_grid(FieldSpec(width, width), SeedingStrategy(spacing, spacing), explicit_count)
-    for seed in range(5):
-        _assert_window_matches_loop(grid, seed, beta0, cutoff)
+    nx = grid.xs.size
+    for rows in (1, 2, 3, nx - 1, nx):  # lattice rows per band
+        with mock.patch.object(epidemic, "_BAND", max(1, rows) * grid.ys.size):
+            for seed in range(5):
+                _assert_window_matches_loop(grid, seed, beta0, cutoff)
+
+
+@pytest.mark.parametrize("band", [1, 2, 3, "nx - 1", "nx"])
+def test_window_bands_split_exception_targets(band):
+    # A plant's exception targets fall on both sides of a band edge: each
+    # band puts back the factors of its own targets, from the products
+    # saved in that band.
+    grid = layout_grid(FieldSpec(4.0, 4.0), SeedingStrategy(0.3, 0.3))
+    nx, ny = grid.xs.size, grid.ys.size
+    rows = {"nx - 1": nx - 1, "nx": nx}.get(band, band)
+    edges = np.arange(rows, nx, rows) * ny
+    with _windows():
+        _, shift, _, xv, yv, x_seen, y_seen = epidemic._window_table(grid, 0.3, math.inf)
+    assert np.all(np.diff(shift) >= 0)
+    split = 0
+    for p in (0, grid.count // 2, grid.count - 1):
+        r, c = divmod(p, ny)
+        at = shift[x_seen[r].take(xv) & y_seen[c].take(yv)] + p
+        assert np.all(np.diff(at) > 0)
+        split += sum(bool(np.any(at < edge) and np.any(at >= edge)) for edge in edges.tolist())
+    assert split > 0 or rows == nx
+    with mock.patch.object(epidemic, "_BAND", rows * ny):
+        for seed in range(3):
+            _assert_window_matches_loop(grid, seed, 0.3, math.inf)
 
 
 @pytest.mark.parametrize(
@@ -1085,8 +1162,8 @@ def test_forked_jobs_after_a_sliced_season_write_identical_csvs(tmp_path):
 
 
 def test_full_scale_season_is_unchanged():
-    # Recorded with the one-slice kernel; with two or more CPUs both rounds
-    # of this 251,001-plant season are split into slices.
+    # Recorded with the one-slice np.hypot kernel; both rounds of this
+    # 251,001-plant season now take the offset-table window path.
     result = run(replace(scenario_default(), rng_seed=1))
     t = result.trajectory
     assert (t.s_count, t.i_count, t.r_count, t.n_t) == (
