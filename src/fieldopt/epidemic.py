@@ -26,17 +26,21 @@ then puts back the exact factor at its exception targets: the same bits
 again. It does so one band of lattice rows at a time, so the band stays in
 cache while every infected plant's window passes over it: about 0.8 to
 1.4 ns per lattice plant and infected plant, the less the more plants are
-infected. The window path runs on one CPU; see _BAND for why.
+infected. The window path runs on one CPU; see _BAND for why. Its two
+lattice-length work arrays, the lattice survival (which then takes the
+round's draws) and the survival gathered at the targets, are kept from
+one round to the next, so a round writes into pages it already has.
 
 The last table of each kind is cached by the lattice and pathogen values,
-so the seasons of a batch, and consecutive batches on one lattice, share
-it. Every other round computes every pair with np.hypot. There, a round
-with many susceptible targets is split into contiguous slices of them, one
-per CPU in the process's affinity mask, that run on threads (numpy
-releases the GIL inside its loops). On every path each target's product
-is formed over the start-of-round infected in ascending index order, with
-the same float operations, and every RNG draw is made in the calling
-thread, so the output depends neither on the path nor on the CPU count.
+and the work arrays by the lattice shape, so the seasons of a batch, and
+consecutive batches on one lattice, share them. Every other round
+computes every pair with np.hypot. There, a round with many susceptible
+targets is split into contiguous slices of them, one per CPU in the
+process's affinity mask, that run on threads (numpy releases the GIL
+inside its loops). On every path each target's product is formed over
+the start-of-round infected in ascending index order, with the same float
+operations, and every RNG draw is made in the calling thread, so the
+output depends neither on the path nor on the CPU count.
 
 The RNG consumption order is part of the engine contract so trajectories
 are reproducible: first one removal draw per start-of-round infected plant
@@ -250,6 +254,7 @@ def _survival(
     infected: np.ndarray,
     beta0: float,
     cutoff: float,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """prod_i (1 - min(1, beta0 / d_ij)) for each target j over the
     infected i within the cutoff; exactly 1.0 where no pair reaches j.
@@ -259,6 +264,10 @@ def _survival(
     targets multiplies one offset-table window per infected plant instead
     (see `_window_table`). Other rounds compute every factor with np.hypot,
     in slices on threads (`_sliced_survival`). All paths give the same bits.
+
+    `work` is the lattice's work arrays (see `_work_arrays`); a window
+    round writes into them and returns a view of the second. Without it,
+    every path returns a fresh array.
     """
     table = _kernel_table(grid, beta0, cutoff)
     if table is not None:
@@ -266,8 +275,36 @@ def _survival(
     if grid.count >= WINDOW_MIN and targets.size >= _WINDOW_TARGETS * grid.count:
         window = _window_table(grid, beta0, cutoff)
         if window is not None:
-            return _window_survival(window, targets, infected)
+            return _window_survival(window, targets, infected, work)
     return _sliced_survival(grid, targets, infected, beta0, cutoff)
+
+
+# The work arrays of the last lattice's window rounds, keyed by its shape
+# (nx, ny): an (nx, ny) array for the lattice survival and then the round's
+# infection draws, and an nx * ny array for the survival gathered at the
+# targets, 16 B per plant in all. Kept from round to round, they cost no
+# fresh pages per round. A lattice of another shape frees them before
+# allocating its own; a lattice below WINDOW_MIN plants leaves them be;
+# and np.empty touches no pages, so a lattice whose rounds never take the
+# window path keeps none resident. They are one season's scratch, so
+# seasons must not run concurrently on threads of one process (the
+# harness runs its jobs in processes).
+_work_cache: tuple = (None, None)
+
+
+def _work_arrays(grid: PlantGrid) -> tuple[np.ndarray, np.ndarray] | None:
+    """The work arrays of the grid's lattice shape (see `_work_cache`), or
+    None for a lattice too small for the window path, which leaves the
+    cache as it is."""
+    global _work_cache
+    if grid.count < WINDOW_MIN:
+        return None
+    key = (grid.xs.size, grid.ys.size)
+    cached = _work_cache
+    if cached[0] != key:
+        cached = _work_cache = (None, None)  # free the old arrays first
+        cached = _work_cache = (key, (np.empty(key), np.empty(key[0] * key[1])))
+    return cached[1]
 
 
 # Most entries the kernel table may hold, and most entries its two index
@@ -502,7 +539,7 @@ def _build_window(xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
 _BAND = 1 << 16
 
 
-def _window_survival(window, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
+def _window_survival(window, targets: np.ndarray, infected: np.ndarray, work=None) -> np.ndarray:
     """`_survival` by offset-table windows: a survival over the whole
     lattice, and each infected plant's table window multiplied into it, in
     ascending plant order. The lattice is cut into bands of rows, and each
@@ -512,12 +549,19 @@ def _window_survival(window, targets: np.ndarray, infected: np.ndarray) -> np.nd
     their exact factors after, so every target's product has the factors
     and the order of the np.hypot path.
 
+    The lattice survival and the targets' survival gathered from it are
+    the two arrays of `work` when it is given, the lattice's work arrays
+    kept from round to round (see `_work_cache`), and fresh arrays when it
+    is None. The result is then a view of `work`'s second array, valid
+    until the lattice's next round.
+
     The plants' exception targets are found once per plant; plants are
     taken in groups whose targets number about _BAND, so their memory stays
     bounded however many plants are infected."""
     table, shift, exact, xv, yv, x_seen, y_seen = window
     nx, ny = x_seen.shape[0], y_seen.shape[0]
-    survival = np.ones((nx, ny))
+    survival, gathered = (np.empty((nx, ny)), None) if work is None else work
+    survival.fill(1.0)
     rows = max(1, _BAND // ny)
     edges = np.arange(rows, nx, rows) * ny  # the flat index of each later band
     group, held = [], 0
@@ -533,7 +577,12 @@ def _window_survival(window, targets: np.ndarray, infected: np.ndarray) -> np.nd
             _apply_windows(survival, rows, group)
             group, held = [], 0
     _apply_windows(survival, rows, group)
-    return survival.reshape(-1).take(targets)
+    if gathered is not None:
+        gathered = gathered[: targets.size]
+    # The targets are flatnonzero indices of the status array, all inside
+    # the lattice, so clipping changes none of them; it spares the
+    # temporary that the default mode="raise" buffers `out` through.
+    return survival.reshape(-1).take(targets, out=gathered, mode="clip")
 
 
 def _apply_windows(survival: np.ndarray, rows: int, group: list) -> None:
@@ -643,18 +692,27 @@ def _draw_infections(
     if susceptible.size == 0:
         return susceptible
     cutoff = params.beta0 / epsilon_p if epsilon_p > 0 else math.inf
-    survival = _survival(grid, susceptible, infected, params.beta0, cutoff)
+    work = _work_arrays(grid)
+    survival = _survival(grid, susceptible, infected, params.beta0, cutoff, work)
+    # A window round has gathered its survival out of the lattice array
+    # into the other work array, so its draws can overwrite the lattice
+    # array; other rounds leave both untouched and draw into a fresh array.
+    draws = work[0].reshape(-1) if work is not None and survival.base is work[1] else None
     at_risk = survival < 1.0
     # The candidates stay ascending: that fixes the draw order. Rebinding
-    # the names frees the full-length arrays when only some are at risk,
-    # and no copy is made when all are.
+    # the names frees the full-length arrays (a fresh survival's too) when
+    # only some are at risk, and no copy is made when all are.
     if not at_risk.all():
         susceptible, survival = susceptible[at_risk], survival[at_risk]
     del at_risk
     if susceptible.size == 0:
         return susceptible
     np.subtract(1.0, survival, out=survival)  # the infection probabilities
-    return susceptible[rng.random(susceptible.size) < survival]
+    if draws is None:
+        draws = rng.random(susceptible.size)
+    else:
+        draws = rng.random(out=draws[: susceptible.size])
+    return susceptible[draws < survival]
 
 
 def step(

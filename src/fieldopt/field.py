@@ -33,9 +33,11 @@ _SNAP = 1e-9
 # the np.hypot kernel's work arrays over the susceptible plants, plus a
 # 1-byte mask when the cutoff truncates (see the README). This caps one
 # season near 1.1 GB. The offset-table path keeps about 19 bytes of table
-# per plant and 24 of work arrays instead; the small-lattice kernel table
-# keeps fewer bytes per susceptible plant, plus at most 1.75 MiB of table
-# and block buffers, on lattices of at most 65,536 plants.
+# per plant and 16 of work arrays, resident from one round to the next,
+# and adds 8 per round for the susceptible indices; the small-lattice
+# kernel table keeps fewer bytes per susceptible plant, plus at most
+# 1.75 MiB of table and block buffers, on lattices of at most 65,536
+# plants.
 MAX_PLANTS = 20_000_000
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -881,6 +882,171 @@ def test_seasons_are_the_same_with_and_without_windows(mode):
             loop = run(sc)
         assert window.trajectory == loop.trajectory
         assert repr(window.total_profit) == repr(loop.total_profit)
+
+
+# -- the window round's kept work arrays ----------------------------------------
+
+
+def _keep_infected(n):
+    """An edit that removes all but the first n infected plants, so the
+    reference's one neighbor scan per infected plant stays cheap."""
+    def edit(status, pick):
+        status[np.flatnonzero(status == Status.INFECTED)[n:]] = Status.REMOVED
+    return edit
+
+
+def _assert_rounds_match_reference(grid, status, params, seed, rounds):
+    """Consecutive `step`s on one lattice against the all-plants reference:
+    before each round its edit rewrites both populations the same way (so a
+    round can have more susceptible plants than the one before), and after
+    it the states and the RNG streams must agree bit for bit. No engine
+    round may take the np.hypot path. Returns how many rounds took the
+    window path with the lattice's work arrays."""
+    fast, slow = PlantStates(grid.count), PlantStates(grid.count)
+    fast.status[:] = slow.status[:] = status
+    fast.infected_at[status != Status.SUSCEPTIBLE] = 1
+    slow.infected_at[:] = fast.infected_at
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    no_hypot = mock.patch.object(epidemic, "_sliced_survival", side_effect=AssertionError("hypot"))
+    kept = mock.Mock(wraps=epidemic._window_survival)
+    for t, (edit, epsilon_p) in enumerate(rounds, start=1):
+        for states in (fast, slow):
+            edit(states.status, np.random.default_rng([seed, t]))
+        with no_hypot, mock.patch.object(epidemic, "_window_survival", kept):
+            step(grid, fast, params, fast_rng, t, epsilon_p=epsilon_p)
+        with mock.patch.object(epidemic, "_draw_infections", _reference_draw_infections):
+            step(grid, slow, params, slow_rng, t, epsilon_p=epsilon_p)
+        assert np.array_equal(fast.status, slow.status)
+        assert np.array_equal(fast.infected_at, slow.infected_at)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    shape, arrays = epidemic._work_cache
+    assert all(call.args[3] is arrays for call in kept.call_args_list)
+    assert kept.call_count == 0 or shape == (grid.xs.size, grid.ys.size)
+    return kept.call_count
+
+
+def _shrink(status, pick):
+    # Half the susceptible plants are removed.
+    susceptible = np.flatnonzero(status == Status.SUSCEPTIBLE)
+    status[susceptible[pick.random(susceptible.size) < 0.5]] = Status.REMOVED
+
+
+def _grow(status, pick):
+    # Half the removed plants are susceptible again.
+    removed = np.flatnonzero(status == Status.REMOVED)
+    status[removed[pick.random(removed.size) < 0.5]] = Status.SUSCEPTIBLE
+
+
+kept_cases = st.fixed_dictionaries(
+    {
+        "width": st.floats(0.5, 6.0),
+        "height": st.floats(0.5, 6.0),
+        "dx": st.floats(0.2, 1.0),
+        "dy": st.floats(0.2, 1.0),
+        "beta0": st.one_of(st.floats(0.0, 0.01), st.floats(0.2, 1.0)),
+        "gamma": st.floats(0.01, 1.0),
+        "epsilon_p": st.one_of(st.sampled_from([1e-6, 0.0]), st.floats(1e-3, 0.5)),
+        "edits": st.lists(st.sampled_from(["none", "shrink", "grow"]), min_size=2, max_size=5),
+        "seed": st.integers(0, 2**32),
+    }
+)
+
+
+@settings(max_examples=60)
+@given(kept_cases)
+def test_window_rounds_with_kept_arrays_match_the_reference(case):
+    grid = layout_grid(
+        FieldSpec(width_m=case["width"], height_m=case["height"]),
+        SeedingStrategy(dx_m=case["dx"], dy_m=case["dy"]),
+    )
+    params = PathogenParams(beta0=case["beta0"], gamma=case["gamma"])
+    status = _random_states(grid.count, 1, case["seed"]).status
+    susceptible = np.flatnonzero(status == Status.SUSCEPTIBLE)
+    infected = np.flatnonzero(status == Status.INFECTED)
+    edits = {"none": lambda status, pick: None, "shrink": _shrink, "grow": _grow}
+    rounds = [(edits[name], case["epsilon_p"]) for name in case["edits"]]
+    with _windows():
+        # A caller that passes no work arrays gets a survival of its own,
+        # which later rounds do not overwrite.
+        held = epidemic._survival(grid, susceptible, infected, params.beta0, math.inf)
+        expected = held.copy()
+        _assert_rounds_match_reference(grid, status, params, case["seed"], rounds)
+    assert np.array_equal(held, expected)
+
+
+def test_full_scale_kept_arrays_survive_a_change_of_lattice():
+    full = layout_grid(FieldSpec(), SeedingStrategy())  # 501 x 501 plants
+    desk = layout_grid(FieldSpec(10.0, 10.0), SeedingStrategy(0.2, 0.2))  # 51 x 51
+
+    def rows_before(row):
+        # An edit that removes the susceptible plants of the rows before `row`.
+        def edit(status, pick):
+            head = status[: row * full.ys.size]
+            head[head == Status.SUSCEPTIBLE] = Status.REMOVED
+        return edit
+
+    def revive(status, pick):
+        status[status == Status.REMOVED] = Status.SUSCEPTIBLE
+
+    def then(*edits):
+        def edit(status, pick):
+            for e in edits:
+                e(status, pick)
+        return edit
+
+    keep = _keep_infected(6)
+    # Every susceptible plant at risk; the susceptible count shrinks a
+    # little, then to a fifth (still a window round), then grows back;
+    # last, a 12.5 m cutoff leaves only some plants at risk.
+    full_rounds = [
+        (keep, 1e-6),
+        (keep, 1e-6),
+        (then(keep, rows_before(400)), 1e-6),
+        (then(keep, revive), 1e-6),
+        (keep, 0.003 / 12.5),
+    ]
+    full_status = np.zeros(full.count, dtype=np.int8)
+    full_status[[0, 60_123, 125_500, full.count - 1]] = Status.INFECTED
+    desk_status = _random_states(desk.count, 1, 5).status
+    desk_rounds = [(keep, 1e-6), (_shrink, 1e-6), (_grow, 0.3 / 0.5)]
+
+    held = []
+    for grid, status, beta0, rounds in (
+        (full, full_status, 0.003, full_rounds),
+        (desk, desk_status, 0.3, desk_rounds),
+        (full, full_status, 0.003, full_rounds[::-1]),
+    ):
+        params = PathogenParams(beta0=beta0, gamma=0.2)
+        with _windows() if grid is desk else contextlib.nullcontext():
+            taken = _assert_rounds_match_reference(grid, status, params, 7, rounds)
+        assert taken == len(rounds)
+        held.append(epidemic._work_cache)
+    # Each change of lattice shape replaced the work arrays.
+    assert [key for key, _ in held] == [(501, 501), (51, 51), (501, 501)]
+    assert held[0][1][0] is not held[2][1][0] and held[0][1][1] is not held[2][1][1]
+
+
+def test_a_warm_full_scale_season_allocates_no_lattice_arrays():
+    # numpy reports its data allocations to tracemalloc, so this peak is the
+    # same on every run. A warm 251,001-plant season peaked at 3.54 MB
+    # (numpy 2.4): mostly the plant states and each round's susceptible
+    # indices. With a fresh lattice survival, gathered survival and draws
+    # per window round (2 MB each) it peaked at 7.54 MB; the bound leaves
+    # about 1 MB of slack.
+    scenario = scenario_default()
+    run(scenario)  # builds the offset table and the work arrays
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run(scenario)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4.5e6
 
 
 # -- batches of seasons ---------------------------------------------------------
