@@ -34,13 +34,10 @@ one round to the next, so a round writes into pages it already has.
 The last table of each kind is cached by the lattice and pathogen values,
 and the work arrays by the lattice shape, so the seasons of a batch, and
 consecutive batches on one lattice, share them. Every other round
-computes every pair with np.hypot. There, a round with many susceptible
-targets is split into contiguous slices of them, one per CPU in the
-process's affinity mask, that run on threads (numpy releases the GIL
-inside its loops). On every path each target's product is formed over
-the start-of-round infected in ascending index order, with the same float
-operations, and every RNG draw is made in the calling thread, so the
-output depends neither on the path nor on the CPU count.
+computes every pair with np.hypot, on one CPU. On every path each
+target's product is formed over the start-of-round infected in ascending
+index order, with the same float operations, and every RNG draw is made
+in the calling thread, so the output does not depend on the path.
 
 The RNG consumption order is part of the engine contract so trajectories
 are reproducible: first one removal draw per start-of-round infected plant
@@ -60,8 +57,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,15 +67,6 @@ from .economics import EconomicSeries, economic_series
 from .field import PlantGrid, lattice_capacity, layout_grid
 from .scenario import PathogenParams, PlacementMode, Scenario, ValidationError
 from .worstcase import kcenter_greedy
-
-# Fewest susceptible targets a slice of one round's infection kernel may
-# hold; a round is split across CPUs only when every slice gets this many.
-# With 3 infected plants on a 2-vCPU VM, two threads against one ran 0.97x
-# on slices of 8,192 targets, 1.17x on 16,384 and 1.37x on 32,768; the
-# thread start and join cost is paid per round, so the smallest infected
-# sets break even on the largest slices.
-MIN_SLICE = 1 << 15
-
 
 class Status(enum.IntEnum):
     SUSCEPTIBLE = 0
@@ -240,14 +226,6 @@ def place_initial_infected(
     return np.sort(rng.choice(grid.count, size=k, replace=False).astype(np.int64))
 
 
-def _cpu_count() -> int:
-    """CPUs in this process's affinity mask (all CPUs on platforms
-    without one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _survival(
     grid: PlantGrid,
     targets: np.ndarray,
@@ -262,8 +240,8 @@ def _survival(
     Looks each factor up in the lattice's kernel table when it has one
     (see `_kernel_table`). A large lattice whose round has many susceptible
     targets multiplies one offset-table window per infected plant instead
-    (see `_window_table`). Other rounds compute every factor with np.hypot,
-    in slices on threads (`_sliced_survival`). All paths give the same bits.
+    (see `_window_table`). Other rounds compute every factor with np.hypot
+    (`_hypot_survival`). All paths give the same bits.
 
     `work` is the lattice's work arrays (see `_work_arrays`); a window
     round writes into them and returns a view of the second. Without it,
@@ -276,7 +254,7 @@ def _survival(
         window = _window_table(grid, beta0, cutoff)
         if window is not None:
             return _window_survival(window, targets, infected, work)
-    return _sliced_survival(grid, targets, infected, beta0, cutoff)
+    return _hypot_survival(grid, targets, infected, beta0, cutoff)
 
 
 # The work arrays of the last lattice's window rounds, keyed by its shape
@@ -312,9 +290,7 @@ def _work_arrays(grid: PlantGrid) -> tuple[np.ndarray, np.ndarray] | None:
 # 512 KiB of int32 indices. A lattice has about 12 * nx * ny distinct
 # pair-gap combinations, so square lattices up to about 100 x 100 plants
 # get a table; the 501 x 501 full-scale lattice is ruled out by its shape
-# alone, before any work. A table lattice holds at most 65,536 plants,
-# fewer than the 2 * MIN_SLICE targets a split needs, so the table is
-# always read in the calling thread, as one slice.
+# alone, before any work.
 TABLE_CAP = 1 << 17
 
 # (source, target) pairs per block of gathered table indices and factors
@@ -356,7 +332,7 @@ def _axis_gaps(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _pair_factors(gx, gy, beta0: float, cutoff: float, out=None) -> np.ndarray:
     """1 - min(1, beta0 / hypot(gx, gy)) over broadcast gaps, with the pair
     probability set to 0 beyond the cutoff: the float operations of
-    `_survival_slice`, in its order, on the same operands up to sign
+    `_hypot_survival`, in its order, on the same operands up to sign
     (np.hypot ignores the signs of its arguments), so each entry has the
     bits that path computes for every pair with those gaps."""
     d = np.hypot(gx, gy, out=out)
@@ -415,13 +391,13 @@ def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -
 # plants and at 1/17 with 76, and 1/12 lies between. So a round needs at
 # least WINDOW_MIN plants, at least _WINDOW_TARGETS of them susceptible,
 # and a lattice with at most _WINDOW_EXCEPTIONS exceptions per plant, each
-# of which adds work to every window. Below 2 * MIN_SLICE plants no np.hypot round is
-# split across CPUs, and the lattices there without a kernel table (the
-# 12,000 to 15,000 plants of `compare`) ran no faster with windows.
+# of which adds work to every window. The smaller lattices without a kernel
+# table (the 12,000 to 15,000 plants of `compare`) ran no faster with
+# windows.
 # Listing the gaps of an axis of n points takes n**2 / 2 subtractions, so
 # a lattice farther than about _WINDOW_ASPECT : 1 from square (a 2 x 10**7
 # strip) gets no offset table.
-WINDOW_MIN = 2 * MIN_SLICE
+WINDOW_MIN = 1 << 16
 _WINDOW_TARGETS = 1 / 12
 _WINDOW_EXCEPTIONS = 1 / 16
 _WINDOW_ASPECT = 16
@@ -611,7 +587,7 @@ def _apply_windows(survival: np.ndarray, rows: int, group: list) -> None:
                 flat[band_at] = saved
 
 
-def _sliced_survival(
+def _hypot_survival(
     grid: PlantGrid,
     targets: np.ndarray,
     infected: np.ndarray,
@@ -619,13 +595,7 @@ def _sliced_survival(
     cutoff: float,
 ) -> np.ndarray:
     """`_survival` by np.hypot per pair, for rounds that read no table; it
-    is also the tests' oracle for both tables.
-
-    The targets are cut into contiguous slices, at most one per CPU and
-    none shorter than MIN_SLICE; the first runs in the calling thread and
-    the others on threads joined before this returns. Every buffer is
-    allocated here, and each slice works in its own views of them.
-    """
+    is also the tests' oracle for both tables."""
     n = targets.size
     ny = grid.ys.size
     rows, columns = np.divmod(targets, ny)
@@ -637,35 +607,9 @@ def _sliced_survival(
     keep = np.empty(n)  # scratch; each pass ends with 1 - p in it
     far = np.empty(n, dtype=bool) if cutoff < grid.span_m else None
     source_x, source_y = np.divmod(infected, ny)
-    sources = list(zip(grid.xs.take(source_x).tolist(), grid.ys.take(source_y).tolist()))
-
-    def run_slice(a: int, b: int) -> None:
-        _survival_slice(
-            xs[a:b], ys[a:b], sources, beta0, cutoff,
-            survival[a:b], dist[a:b], keep[a:b], None if far is None else far[a:b],
-        )
-
-    slices = max(1, min(_cpu_count(), n // MIN_SLICE))
-    if slices == 1:
-        run_slice(0, n)
-        return survival
-    bounds = [k * n // slices for k in range(slices + 1)]
-    with ThreadPoolExecutor(max_workers=slices - 1) as pool:
-        rest = [pool.submit(run_slice, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
-        run_slice(bounds[0], bounds[1])
-        for future in rest:
-            future.result()
-    return survival
-
-
-def _survival_slice(xs, ys, sources, beta0, cutoff, survival, dist, keep, far) -> None:
-    """survival *= prod_i (1 - min(1, beta0 / d_ij)) over the (x, y) rows
-    of `sources`, in order; `dist`, `keep` and `far` are scratch, and
-    `far` is None when no pair lies beyond the cutoff. Only numpy runs
-    here: this is the body of a slice thread."""
     # Infected plants in ascending order, so each target's product is
     # formed in the same order as a sum over all plants would form it.
-    for x, y in sources:
+    for x, y in zip(grid.xs.take(source_x).tolist(), grid.ys.take(source_y).tolist()):
         np.subtract(xs, x, out=dist)
         np.subtract(ys, y, out=keep)
         np.hypot(dist, keep, out=dist)
@@ -676,6 +620,7 @@ def _survival_slice(xs, ys, sources, beta0, cutoff, survival, dist, keep, far) -
             np.copyto(keep, 0.0, where=far)
         np.subtract(1.0, keep, out=keep)
         np.multiply(survival, keep, out=survival)
+    return survival
 
 
 def _draw_infections(

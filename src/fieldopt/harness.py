@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
@@ -25,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import epidemic
 from .analytics import _mean_std, fit_plane, paired_t_test
 from .economics import economic_series
 from .epidemic import run
@@ -130,12 +130,20 @@ class ExperimentSpec:
                 raise ValidationError(f"invariant violated: {name}")
 
 
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask (all CPUs on platforms
+    without one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_jobs(fn, items, jobs: int) -> list:
     """fn over items, in order, on at most `jobs` worker processes. The pool
     forks all its workers at once, so there are never more of them than
     items or CPUs in the affinity mask."""
     items = list(items)
-    workers = min(jobs, len(items), epidemic._cpu_count())
+    workers = min(jobs, len(items), _cpu_count())
     if workers <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,12 +1,7 @@
 import contextlib
 import math
-import os
-import subprocess
-import sys
-import threading
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -474,33 +469,45 @@ def test_kernel_matches_reference_step(case):
     )
 
 
+_step_cases = [
+    (0.6, 1e-6, False, False),  # beta0 >= spacing: p = 1 pairs
+    (0.003, 5e-4, False, True),  # cutoff 6 m < 8.49 m diagonal
+    (0.002, 1e-3, False, True),  # cutoff exactly 2 m, a lattice distance
+    (0.003, 0.0, False, False),  # no cutoff
+    (0.05, 1e-6, True, False),  # fixed infectious period, no removal draws
+]
+
+
 @pytest.mark.parametrize(
-    "beta0, epsilon_p, deterministic_duration, truncates",
-    [
-        (0.6, 1e-6, False, False),  # beta0 >= spacing: p = 1 pairs
-        (0.003, 5e-4, False, True),  # cutoff 6 m < 8.49 m diagonal
-        (0.002, 1e-3, False, True),  # cutoff exactly 2 m, a lattice distance
-        (0.003, 0.0, False, False),  # no cutoff
-        (0.05, 1e-6, True, False),  # fixed infectious period, no removal draws
-    ],
+    "path, beta0, epsilon_p, deterministic_duration, truncates",
+    # Stable ids: a table case's id does not name its path.
+    [pytest.param("table", *case, id="-".join(map(str, case))) for case in _step_cases]
+    + [pytest.param("hypot", *case, id="-".join(map(str, ("hypot", *case))))
+       for case in _step_cases],
 )
 def test_kernel_matches_reference_step_cases(
-    beta0, epsilon_p, deterministic_duration, truncates
+    path, beta0, epsilon_p, deterministic_duration, truncates
 ):
-    grid = layout_grid(FieldSpec(6.0, 6.0), SeedingStrategy(0.5, 0.5))
+    grid = layout_grid(FieldSpec(6.0, 6.0), SeedingStrategy(0.5, 0.5))  # 169 plants
     assert (epsilon_p > 0 and beta0 / epsilon_p < grid.span_m) == truncates
     params = PathogenParams(beta0=beta0, gamma=0.2)
-    for seed in range(5):
-        states = _random_states(grid.count, 3, seed)
-        _assert_kernel_matches_reference(
-            grid,
-            states,
-            params,
-            seed,
-            3,
-            epsilon_p=epsilon_p,
-            deterministic_duration=deterministic_duration,
-        )
+    cap = epidemic.TABLE_CAP if path == "table" else 0  # 0: the np.hypot path
+    hypot = mock.Mock(wraps=epidemic._hypot_survival)
+    with mock.patch.object(epidemic, "TABLE_CAP", cap), mock.patch.object(
+        epidemic, "_hypot_survival", hypot
+    ):
+        for seed in range(5):
+            states = _random_states(grid.count, 3, seed)
+            _assert_kernel_matches_reference(
+                grid,
+                states,
+                params,
+                seed,
+                3,
+                epsilon_p=epsilon_p,
+                deterministic_duration=deterministic_duration,
+            )
+    assert (hypot.call_count > 0) == (path == "hypot")
 
 
 def test_round_without_susceptibles_draws_only_removals():
@@ -546,7 +553,7 @@ def _assert_table_matches_loop(grid, seed, beta0, cutoff, block=None):
     assert epidemic._kernel_table(grid, beta0, cutoff) is not None
     with mock.patch.object(epidemic, "_BLOCK", block or epidemic._BLOCK):
         table = epidemic._survival(grid, susceptible, infected, beta0, cutoff)
-    loop = epidemic._sliced_survival(grid, susceptible, infected, beta0, cutoff)
+    loop = epidemic._hypot_survival(grid, susceptible, infected, beta0, cutoff)
     assert np.array_equal(table, loop)  # bit for bit
 
 
@@ -707,7 +714,7 @@ def _assert_window_matches_loop(grid, seed, beta0, cutoff):
     with _windows():
         assert epidemic._window_table(grid, beta0, cutoff) is not None
         window = epidemic._survival(grid, susceptible, infected, beta0, cutoff)
-    loop = epidemic._sliced_survival(grid, susceptible, infected, beta0, cutoff)
+    loop = epidemic._hypot_survival(grid, susceptible, infected, beta0, cutoff)
     assert np.array_equal(window, loop)  # bit for bit
 
 
@@ -807,9 +814,9 @@ def test_a_full_scale_round_takes_the_window_path(beta0, cutoff):
     susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
     infected = np.flatnonzero(states.status == Status.INFECTED)[::4000]  # 16 plants
     assert grid.count >= epidemic.WINDOW_MIN
-    with mock.patch.object(epidemic, "_sliced_survival", side_effect=AssertionError("hypot")):
+    with mock.patch.object(epidemic, "_hypot_survival", side_effect=AssertionError("hypot")):
         window = epidemic._survival(grid, susceptible, infected, beta0, cutoff)
-    loop = epidemic._sliced_survival(grid, susceptible, infected, beta0, cutoff)
+    loop = epidemic._hypot_survival(grid, susceptible, infected, beta0, cutoff)
     assert np.array_equal(window, loop)
 
 
@@ -820,14 +827,14 @@ def test_a_long_exception_list_falls_back_to_hypot():
     infected = np.flatnonzero(states.status == Status.INFECTED)
     with _windows():
         assert epidemic._window_table(grid, 0.3, math.inf)[1].size > 0  # it has exceptions
-    sliced = mock.Mock(wraps=epidemic._sliced_survival)
+    hypot = mock.Mock(wraps=epidemic._hypot_survival)
     with _windows(exceptions=0.0), mock.patch.object(
         epidemic, "_window_cache", (None, None)
-    ), mock.patch.object(epidemic, "_sliced_survival", sliced):
+    ), mock.patch.object(epidemic, "_hypot_survival", hypot):
         assert epidemic._window_table(grid, 0.3, math.inf) is None
         survival = epidemic._survival(grid, susceptible, infected, 0.3, math.inf)
-    assert sliced.call_count == 1
-    assert np.array_equal(survival, epidemic._sliced_survival(grid, susceptible, infected, 0.3,
+    assert hypot.call_count == 1
+    assert np.array_equal(survival, epidemic._hypot_survival(grid, susceptible, infected, 0.3,
                                                               math.inf))
 
 
@@ -907,7 +914,7 @@ def _assert_rounds_match_reference(grid, status, params, seed, rounds):
     fast.infected_at[status != Status.SUSCEPTIBLE] = 1
     slow.infected_at[:] = fast.infected_at
     fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    no_hypot = mock.patch.object(epidemic, "_sliced_survival", side_effect=AssertionError("hypot"))
+    no_hypot = mock.patch.object(epidemic, "_hypot_survival", side_effect=AssertionError("hypot"))
     kept = mock.Mock(wraps=epidemic._window_survival)
     for t, (edit, epsilon_p) in enumerate(rounds, start=1):
         for states in (fast, slow):
@@ -1103,7 +1110,7 @@ def _assert_same_season(a, b):
 def test_a_batched_season_is_the_single_season_of_its_seed(case):
     scenario = _batch_scenario(case)
     options = {"deterministic_duration": case["deterministic_duration"]}
-    cap = epidemic.TABLE_CAP if case["table"] else 0  # 0: the sliced np.hypot path
+    cap = epidemic.TABLE_CAP if case["table"] else 0  # 0: the np.hypot path
     with mock.patch.object(epidemic, "TABLE_CAP", cap):
         batch = epidemic.run_batch(scenario, case["seeds"], **options)
         singles = [run(replace(scenario, rng_seed=seed), **options) for seed in case["seeds"]]
@@ -1163,168 +1170,6 @@ def test_a_died_early_batch_gives_one_result_per_seed_and_draws_nothing():
 def test_batch_seeds_are_validated(seed):
     with pytest.raises(ValidationError, match="seed"):
         epidemic.run_batch(_scenario(), (0, seed))
-
-
-# -- the kernel split into slices on threads -----------------------------------
-
-
-@contextlib.contextmanager
-def _slicing(cpus, min_slice):
-    # No kernel table, so every round takes the sliced np.hypot path.
-    with mock.patch.object(epidemic, "_cpu_count", lambda: cpus), mock.patch.object(
-        epidemic, "MIN_SLICE", min_slice
-    ), mock.patch.object(epidemic, "TABLE_CAP", 0):
-        yield
-
-
-def _sliced_step(grid, states, params, seed, round_index, cpus, min_slice, **options):
-    states, rng = states.copy(), np.random.default_rng(seed)
-    with _slicing(cpus, min_slice):
-        step(grid, states, params, rng, round_index, **options)
-    return states, rng.bit_generator.state
-
-
-def _assert_slices_match_one_slice(grid, states, params, seed, round_index, cpus, min_slice,
-                                   **options):
-    susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
-    infected = np.flatnonzero(states.status == Status.INFECTED)
-    eps = options["epsilon_p"]
-    cutoff = params.beta0 / eps if eps > 0 else math.inf
-    with _slicing(1, min_slice):
-        whole = epidemic._survival(grid, susceptible, infected, params.beta0, cutoff)
-    with _slicing(cpus, min_slice):
-        sliced = epidemic._survival(grid, susceptible, infected, params.beta0, cutoff)
-    assert np.array_equal(sliced, whole)  # bit for bit
-
-    one, one_rng = _sliced_step(grid, states, params, seed, round_index, 1, min_slice, **options)
-    many, many_rng = _sliced_step(
-        grid, states, params, seed, round_index, cpus, min_slice, **options
-    )
-    assert np.array_equal(many.status, one.status)
-    assert np.array_equal(many.infected_at, one.infected_at)
-    assert many_rng == one_rng
-
-
-@settings(max_examples=100)
-@given(kernel_cases, st.integers(2, 4))
-def test_sliced_kernel_matches_one_slice(case, parts):
-    # MIN_SLICE = S // parts cuts the S susceptible targets into `parts`
-    # slices, uneven whenever parts does not divide S.
-    grid = layout_grid(
-        FieldSpec(width_m=case["width"], height_m=case["height"]),
-        SeedingStrategy(dx_m=case["dx"], dy_m=case["dy"]),
-    )
-    states = _random_states(grid.count, case["round_index"], case["seed"])
-    targets = int(np.count_nonzero(states.status == Status.SUSCEPTIBLE))
-    _assert_slices_match_one_slice(
-        grid,
-        states,
-        PathogenParams(beta0=case["beta0"], gamma=case["gamma"]),
-        case["seed"],
-        case["round_index"],
-        parts,
-        max(1, targets // parts),
-        epsilon_p=case["epsilon_p"],
-        deterministic_duration=case["deterministic_duration"],
-    )
-
-
-@pytest.mark.parametrize(
-    "beta0, epsilon_p, deterministic_duration",
-    [
-        (0.6, 1e-6, False),  # beta0 >= spacing: p = 1 pairs
-        (0.003, 5e-4, False),  # cutoff 6 m < 8.49 m diagonal
-        (0.003, 0.0, False),  # no cutoff
-        (0.05, 1e-6, True),  # fixed infectious period, no removal draws
-    ],
-)
-@pytest.mark.parametrize("cpus, min_slice", [(2, 40), (3, 17), (4, 9)])
-def test_sliced_kernel_cases(beta0, epsilon_p, deterministic_duration, cpus, min_slice):
-    grid = layout_grid(FieldSpec(6.0, 6.0), SeedingStrategy(0.5, 0.5))  # 169 plants
-    params = PathogenParams(beta0=beta0, gamma=0.2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        for seed in range(5):
-            states = _random_states(grid.count, 3, seed)
-            _assert_slices_match_one_slice(
-                grid, states, params, seed, 3, cpus, min_slice,
-                epsilon_p=epsilon_p, deterministic_duration=deterministic_duration,
-            )
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def _infecting_round():
-    grid = layout_grid(FieldSpec(6.0, 6.0), SeedingStrategy(0.5, 0.5))
-    return grid, _random_states(grid.count, 3, 0), PathogenParams(beta0=0.05, gamma=0.2)
-
-
-def test_slices_run_on_threads_that_join():
-    grid, states, params = _infecting_round()
-    susceptible = int(np.count_nonzero(states.status == Status.SUSCEPTIBLE))
-    seen, lock, real = [], threading.Lock(), epidemic._survival_slice
-
-    def recording(xs, *args):
-        with lock:
-            seen.append((threading.get_ident(), xs.size))
-        real(xs, *args)
-
-    before = threading.active_count()
-    with _slicing(3, 10), mock.patch.object(epidemic, "_survival_slice", recording):
-        step(grid, states, params, np.random.default_rng(0), 3)
-    assert threading.active_count() == before
-    idents = {ident for ident, _ in seen}
-    assert len(seen) == 3 and threading.get_ident() in idents and len(idents) > 1
-    assert sum(size for _, size in seen) == susceptible
-
-
-@pytest.mark.parametrize("failing", ["caller", "workers"])
-def test_an_exception_in_a_slice_propagates_from_step(failing):
-    grid, states, params = _infecting_round()
-    caller, real = threading.get_ident(), epidemic._survival_slice
-
-    def broken(*args):
-        if (threading.get_ident() == caller) == (failing == "caller"):
-            raise FloatingPointError("slice failed")
-        real(*args)
-
-    before = threading.active_count()
-    with _slicing(3, 10), mock.patch.object(epidemic, "_survival_slice", broken):
-        with pytest.raises(FloatingPointError, match="slice failed"):
-            step(grid, states, params, np.random.default_rng(0), 3)
-    assert threading.active_count() == before
-
-
-_FORK_AFTER_THREADS = """
-import sys
-from fieldopt import epidemic
-from fieldopt.harness import ExperimentKind, ExperimentSpec, desk_scenario, run_experiment
-
-epidemic._cpu_count = lambda: 2
-epidemic.MIN_SLICE = 64
-epidemic.TABLE_CAP = 0
-epidemic.run(desk_scenario())  # starts and joins slice threads in this process
-run_experiment(ExperimentSpec(
-    kind=ExperimentKind.PATHOGEN_SWEEP, replicates=3, jobs=2, out_dir=sys.argv[1]
-))
-"""
-
-
-def test_forked_jobs_after_a_sliced_season_write_identical_csvs(tmp_path):
-    # The process pool forks this process after the slice threads have run,
-    # and its workers split their own rounds too.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", _FORK_AFTER_THREADS, str(tmp_path / "sliced")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    run_experiment(ExperimentSpec(
-        kind=ExperimentKind.PATHOGEN_SWEEP, replicates=3, jobs=1, out_dir=tmp_path / "one"
-    ))
-    for name in ("pathogen_sweep.csv", "fits.csv"):
-        assert (tmp_path / "sliced" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_full_scale_season_is_unchanged():

@@ -24,7 +24,7 @@ from fieldopt import (
     run_pathogen_sweep,
 )
 import fieldopt
-from fieldopt import epidemic, harness
+from fieldopt import harness
 from fieldopt.analytics import _mean_std
 
 GAMMAS = (1 / 42, 1 / 21)
@@ -291,7 +291,7 @@ def _count_pools(monkeypatch, cpus):
     monkeypatch.setattr(
         harness, "ProcessPoolExecutor", lambda max_workers: _NoProcessPool(sizes, max_workers)
     )
-    monkeypatch.setattr(epidemic, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
     return sizes
 
 
