@@ -135,15 +135,17 @@ def _load(args, default_factory):
 
 
 def _resolve_seed(args, scenario) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("FIELDOPT_SEED")
-    if env is not None:
+    seed, env = args.seed, os.environ.get("FIELDOPT_SEED")
+    if seed is None and env is None:
+        return scenario.rng_seed
+    if seed is None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ValidationError(f"FIELDOPT_SEED must be an integer, got {env!r}") from exc
-    return scenario.rng_seed
+    if not 0 <= seed < 2**64:  # a season seed, or the base of derive_seed
+        raise ValidationError("invariant violated: 0 <= seed < 2**64")
+    return seed
 
 
 def _cmd_simulate(args) -> int:

@@ -26,18 +26,17 @@ then puts back the exact factor at its exception targets: the same bits
 again. It does so one band of lattice rows at a time, so the band stays in
 cache while every infected plant's window passes over it: about 0.8 to
 1.4 ns per lattice plant and infected plant, the less the more plants are
-infected. The window path runs on one CPU; see _BAND for why. Its two
-lattice-length work arrays, the lattice survival (which then takes the
-round's draws) and the survival gathered at the targets, are kept from
-one round to the next, so a round writes into pages it already has.
+infected. The window path runs on one CPU; see _BAND for why.
 
-The last table of each kind is cached by the lattice and pathogen values,
-and the work arrays by the lattice shape, so the seasons of a batch, and
-consecutive batches on one lattice, share them. Every other round
-computes every pair with np.hypot, on one CPU. On every path each
-target's product is formed over the start-of-round infected in ascending
-index order, with the same float operations, and every RNG draw is made
-in the calling thread, so the output does not depend on the path.
+What a lattice keeps for its rounds (its kernel table, or its offset table
+and the window rounds' two lattice-length work arrays) is decided once per
+lattice and pathogen and kept for the last of them (see `_Kernel`), so the
+seasons of a batch share it and a window round writes into pages it
+already has. Every other round computes every pair with np.hypot, on one
+CPU. On every path each target's product is formed over the start-of-round
+infected in ascending index order, with the same float operations, and
+every RNG draw is made in the calling thread, so the output does not
+depend on the path.
 
 The RNG consumption order is part of the engine contract so trajectories
 are reproducible: first one removal draw per start-of-round infected plant
@@ -237,52 +236,69 @@ def _survival(
     """prod_i (1 - min(1, beta0 / d_ij)) for each target j over the
     infected i within the cutoff; exactly 1.0 where no pair reaches j.
 
-    Looks each factor up in the lattice's kernel table when it has one
-    (see `_kernel_table`). A large lattice whose round has many susceptible
-    targets multiplies one offset-table window per infected plant instead
-    (see `_window_table`). Other rounds compute every factor with np.hypot
-    (`_hypot_survival`). All paths give the same bits.
+    Reads the lattice's kernel state (see `_Kernel`): its kernel table
+    when it has one; else, in a round of at least WINDOW_MIN plants and
+    many susceptible targets, one offset-table window per infected plant;
+    else np.hypot per pair (`_hypot_survival`). All paths give the same
+    bits.
 
-    `work` is the lattice's work arrays (see `_work_arrays`); a window
-    round writes into them and returns a view of the second. Without it,
-    every path returns a fresh array.
+    `work` is the state's work arrays; a window round writes into them and
+    returns a view of the second. Without it, every path returns a fresh
+    array.
     """
-    table = _kernel_table(grid, beta0, cutoff)
-    if table is not None:
-        return _table_survival(table, grid.ys.size, targets, infected)
-    if grid.count >= WINDOW_MIN and targets.size >= _WINDOW_TARGETS * grid.count:
-        window = _window_table(grid, beta0, cutoff)
-        if window is not None:
-            return _window_survival(window, targets, infected, work)
+    kernel = _kernel(grid, beta0, cutoff)
+    if kernel.table is not None:
+        return _table_survival(kernel.table, grid.ys.size, targets, infected)
+    window_round = grid.count >= WINDOW_MIN and targets.size >= _WINDOW_TARGETS * grid.count
+    if kernel.window is not None and window_round:
+        if kernel.window is False:  # the lattice's first window round
+            kernel.window = _build_window(grid.xs, grid.ys, beta0, cutoff)
+        if kernel.window is not None:
+            return _window_survival(kernel.window, targets, infected, work)
     return _hypot_survival(grid, targets, infected, beta0, cutoff)
 
 
-# The work arrays of the last lattice's window rounds, keyed by its shape
-# (nx, ny): an (nx, ny) array for the lattice survival and then the round's
-# infection draws, and an nx * ny array for the survival gathered at the
-# targets, 16 B per plant in all. Kept from round to round, they cost no
-# fresh pages per round. A lattice of another shape frees them before
-# allocating its own; a lattice below WINDOW_MIN plants leaves them be;
-# and np.empty touches no pages, so a lattice whose rounds never take the
-# window path keeps none resident. They are one season's scratch, so
-# seasons must not run concurrently on threads of one process (the
-# harness runs its jobs in processes).
-_work_cache: tuple = (None, None)
+class _Kernel:
+    """What one lattice and pathogen keep for their rounds (see `_kernel`),
+    decided once from the lattice's shape: `table`, the kernel table, or
+    None when its index maps or its factors would exceed TABLE_CAP
+    entries; and, for any other lattice within _WINDOW_ASPECT : 1 of
+    square, `window`, False until its first window round builds the
+    offset table (None if the exception list is too long), and `work`, the
+    two work arrays: the (nx, ny) lattice survival, which then takes the
+    round's draws, and the nx * ny survival gathered at the targets, 16 B
+    per plant. Kept from round to round, they cost no fresh pages; and
+    np.empty touches no pages, so a lattice whose rounds never take the
+    window path keeps none resident. Both are None on other lattices."""
+
+    __slots__ = ("table", "window", "work")
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
+        nx, ny = xs.size, ys.size
+        self.table = self.window = self.work = None
+        if nx * nx + ny * ny <= TABLE_CAP:
+            self.table = _build_table(xs, ys, beta0, cutoff)
+        if self.table is None and nx * nx + ny * ny <= _WINDOW_ASPECT * nx * ny:
+            self.window = False
+            self.work = (np.empty((nx, ny)), np.empty(nx * ny))
 
 
-def _work_arrays(grid: PlantGrid) -> tuple[np.ndarray, np.ndarray] | None:
-    """The work arrays of the grid's lattice shape (see `_work_cache`), or
-    None for a lattice too small for the window path, which leaves the
-    cache as it is."""
-    global _work_cache
-    if grid.count < WINDOW_MIN:
-        return None
-    key = (grid.xs.size, grid.ys.size)
-    cached = _work_cache
-    if cached[0] != key:
-        cached = _work_cache = (None, None)  # free the old arrays first
-        cached = _work_cache = (key, (np.empty(key), np.empty(key[0] * key[1])))
-    return cached[1]
+# The kernel state of the last lattice and pathogen, keyed by every value
+# it depends on: (x axis bytes, y axis bytes, beta0, cutoff). Any other key
+# frees it before building its own. Its work arrays are one season's
+# scratch, so seasons must not run concurrently on threads of one process
+# (the harness runs its jobs in processes).
+_kernel_cache: tuple = (None, None)
+
+
+def _kernel(grid: PlantGrid, beta0: float, cutoff: float) -> _Kernel:
+    """The kernel state of the grid's lattice and pathogen."""
+    global _kernel_cache
+    key = (grid.xs.tobytes(), grid.ys.tobytes(), beta0, cutoff)
+    if _kernel_cache[0] != key:
+        _kernel_cache = (None, None)  # free the old state first
+        _kernel_cache = (key, _Kernel(grid.xs, grid.ys, beta0, cutoff))
+    return _kernel_cache[1]
 
 
 # Most entries the kernel table may hold, and most entries its two index
@@ -298,27 +314,6 @@ TABLE_CAP = 1 << 17
 # float64 factor). `_build_window` checks its gap pairs in blocks of as
 # many.
 _BLOCK = 1 << 14
-
-# The last table built, keyed by every value it depends on: (x axis bytes,
-# y axis bytes, beta0, cutoff) -> (flat factors, x index map scaled by the
-# y gap count, y index map), or None when the table would exceed TABLE_CAP.
-# Seasons of one lattice and pathogen share it; any other key rebuilds it.
-_table_cache: tuple = (None, None)
-
-
-def _kernel_table(grid: PlantGrid, beta0: float, cutoff: float):
-    """The exact kernel table of the grid's lattice, or None when its
-    index maps or its factors would exceed TABLE_CAP entries."""
-    global _table_cache
-    xs, ys = grid.xs, grid.ys
-    if xs.size * xs.size + ys.size * ys.size > TABLE_CAP:
-        return None
-    key = (xs.tobytes(), ys.tobytes(), beta0, cutoff)
-    cached = _table_cache  # one read: a key and the table built for it
-    if cached[0] != key:
-        cached = _table_cache = (None, None)  # free the old table first
-        cached = _table_cache = (key, _build_table(xs, ys, beta0, cutoff))
-    return cached[1]
 
 
 def _axis_gaps(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,10 +385,12 @@ def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -
 # VM); they broke even at targets of 1/11 of the plants with 3 infected
 # plants and at 1/17 with 76, and 1/12 lies between. So a round needs at
 # least WINDOW_MIN plants, at least _WINDOW_TARGETS of them susceptible,
-# and a lattice with at most _WINDOW_EXCEPTIONS exceptions per plant, each
-# of which adds work to every window. The smaller lattices without a kernel
-# table (the 12,000 to 15,000 plants of `compare`) ran no faster with
-# windows.
+# and a lattice with at most _WINDOW_EXCEPTIONS exceptions per plant,
+# counted before `_build_window` lists each once per pair of offset signs
+# (1,175 exceptions in 4,636 entries on the full-scale lattice at beta0 =
+# 0.003); every entry adds work to every window. The smaller lattices
+# without a kernel table (the 12,000 to 15,000 plants of `compare`) ran no
+# faster with windows.
 # Listing the gaps of an axis of n points takes n**2 / 2 subtractions, so
 # a lattice farther than about _WINDOW_ASPECT : 1 from square (a 2 x 10**7
 # strip) gets no offset table.
@@ -401,26 +398,6 @@ WINDOW_MIN = 1 << 16
 _WINDOW_TARGETS = 1 / 12
 _WINDOW_EXCEPTIONS = 1 / 16
 _WINDOW_ASPECT = 16
-
-# The last offset table built, keyed as `_table_cache`, or None for a
-# lattice whose exception list is too long.
-_window_cache: tuple = (None, None)
-
-
-def _window_table(grid: PlantGrid, beta0: float, cutoff: float):
-    """The exact offset table of the grid's lattice (see `_build_window`),
-    or None when the lattice is too far from square or its exception list
-    is too long."""
-    global _window_cache
-    xs, ys = grid.xs, grid.ys
-    if xs.size * xs.size + ys.size * ys.size > _WINDOW_ASPECT * xs.size * ys.size:
-        return None
-    key = (xs.tobytes(), ys.tobytes(), beta0, cutoff)
-    cached = _window_cache
-    if cached[0] != key:
-        cached = _window_cache = (None, None)  # free the old table first
-        cached = _window_cache = (key, _build_window(xs, ys, beta0, cutoff))
-    return cached[1]
 
 
 def _offset_gaps(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +433,8 @@ def _seen(axis: np.ndarray, offsets: np.ndarray, gaps: np.ndarray, codes: np.nda
 
 def _build_window(xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
     """The offset table of a lattice and its exception list, or None when
-    the list holds more than _WINDOW_EXCEPTIONS entries per plant.
+    the lattice has more than _WINDOW_EXCEPTIONS exceptions per plant,
+    counted before the list holds each once per pair of offset signs.
 
     Row k and column ny - 1 + l of the (nx, 2 * ny - 1) table hold the
     factor of `_pair_factors` at the gaps |xs[k] - xs[0]| and
@@ -526,10 +504,10 @@ def _window_survival(window, targets: np.ndarray, infected: np.ndarray, work=Non
     and the order of the np.hypot path.
 
     The lattice survival and the targets' survival gathered from it are
-    the two arrays of `work` when it is given, the lattice's work arrays
-    kept from round to round (see `_work_cache`), and fresh arrays when it
-    is None. The result is then a view of `work`'s second array, valid
-    until the lattice's next round.
+    the two arrays of `work` when it is given, the work arrays that the
+    lattice's kernel state keeps from round to round (see `_Kernel`), and
+    fresh arrays when it is None. The result is then a view of `work`'s
+    second array, valid until the lattice's next round.
 
     The plants' exception targets are found once per plant; plants are
     taken in groups whose targets number about _BAND, so their memory stays
@@ -637,7 +615,7 @@ def _draw_infections(
     if susceptible.size == 0:
         return susceptible
     cutoff = params.beta0 / epsilon_p if epsilon_p > 0 else math.inf
-    work = _work_arrays(grid)
+    work = _kernel(grid, params.beta0, cutoff).work
     survival = _survival(grid, susceptible, infected, params.beta0, cutoff, work)
     # A window round has gathered its survival out of the lattice array
     # into the other work array, so its draws can overwrite the lattice

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 import shlex
@@ -8,6 +10,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fieldopt import optimize, write_scenario, scenario_default
 from fieldopt import cli
@@ -370,6 +374,8 @@ def test_readme_has_examples_of_every_subcommand():
         ["simulate", "--set", "run.horizon_steps=100000000",
          "--set", "field.width_m=1", "--set", "field.height_m=1"],
         ["optimize", "--set", "run.horizon_steps=1000"],
+        ["optimize", "--mode", "simulated", "--delta", "5", "--seed", "-1"],
+        ["baseline", "--seed", "18446744073709551616"],
     ],
 )
 def test_bad_numbers_exit_1_without_traceback(argv):
@@ -384,3 +390,83 @@ def test_bad_numbers_exit_1_without_traceback(argv):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr
+
+
+# -- any drawn command line exits 0, 1 or 2 without a traceback -----------------
+
+# Out-of-range and unparsable values for every scenario key: negative,
+# zero, not a number, infinite, a division by zero, huge, and not a number
+# at all.
+_BAD_VALUES = ["-1", "-0.5", "0", "nan", "inf", "-inf", "1/0", "0/0", "1e308",
+               "99999999999999999999", "x"]
+
+# Values each key accepts, kept small so that no drawn case runs long:
+# fields of at most 3 m and at most 4 rounds.
+_GOOD_VALUES = {
+    "field.width_m": st.floats(0.3, 3.0),
+    "field.height_m": st.floats(0.3, 3.0),
+    "field.min_spacing_m": st.floats(0.05, 1.0),
+    "pathogen.beta0": st.floats(0.0, 1.0),
+    "pathogen.gamma": st.floats(0.01, 1.0),
+    "pathogen.initial_infected": st.integers(1, 5),
+    **{
+        f"economics.{key}": st.floats(0.0, 1e3)
+        for key in ("seed_per_plant", "seed_overhead_coeff", "grow_per_plant",
+                    "grow_overhead_coeff", "harvest_per_plant", "harvest_overhead_coeff",
+                    "sell_price", "sell_discount")
+    },
+    "strategy.dx_m": st.floats(0.05, 3.0),
+    "strategy.dy_m": st.floats(0.05, 3.0),
+    "run.horizon_steps": st.integers(1, 4),
+    "run.placement_mode": st.sampled_from(["random", "worstcase"]),
+    "run.rng_seed": st.integers(0, 2**64 - 1),
+    "run.explicit_count": st.integers(1, 100),
+}
+
+
+@st.composite
+def _command_lines(draw, out_dir):
+    def value(good, bad):
+        # About one value in six is bad, so that most lines still run; the
+        # simplest draw, which hypothesis favours, is a good one.
+        return str(draw(st.sampled_from(bad) if draw(st.integers(0, 5)) == 5 else good))
+
+    command = draw(st.sampled_from(
+        ["simulate", "optimize", "baseline", "sweep-pathogen", "sweep-econ", "compare"]
+    ))
+    # Both field sides are always set, so the field is at most 3 m wide or
+    # rejected.
+    keys = ["field.width_m", "field.height_m"] + draw(
+        st.lists(st.sampled_from(sorted(_GOOD_VALUES)), max_size=4, unique=True)
+    )
+    argv = [command]
+    for key in dict.fromkeys(keys):
+        argv += ["--set", f"{key}={value(_GOOD_VALUES[key], _BAD_VALUES)}"]
+    if draw(st.booleans()):
+        argv += ["--seed", value(st.integers(0, 2**64 - 1), [-1, 2**64, 2**70])]
+    # compare needs two replicates per arm for its paired t-tests.
+    reps = value(st.integers(1 + (command == "compare"), 2), [-1, 0])
+    delta = value(st.sampled_from([0.5, 1.0, 2.5]), [1e308])
+    if command == "optimize":
+        argv += ["--mode", draw(st.sampled_from(["analytic", "simulated"])),
+                 "--search", draw(st.sampled_from(["grid", "montecarlo"])),
+                 "--budget", value(st.integers(1, 3), [-1, 0]), "--reps", reps, "--delta", delta]
+        if draw(st.booleans()):
+            argv += ["--out-dir", out_dir]
+    elif command != "simulate":
+        argv += ["--reps", reps, "--out-dir", out_dir, "--jobs", "1"]
+    if command == "compare":
+        argv += ["--instances", "1", "--delta", delta,
+                 "--width-range", "1,3", "--height-range", "1,3"]
+    return argv
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_command_line_exits_0_1_or_2_without_a_traceback(tmp_path, data):
+    argv = data.draw(_command_lines(str(tmp_path / "out")))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -493,8 +494,8 @@ def test_kernel_matches_reference_step_cases(
     params = PathogenParams(beta0=beta0, gamma=0.2)
     cap = epidemic.TABLE_CAP if path == "table" else 0  # 0: the np.hypot path
     hypot = mock.Mock(wraps=epidemic._hypot_survival)
-    with mock.patch.object(epidemic, "TABLE_CAP", cap), mock.patch.object(
-        epidemic, "_hypot_survival", hypot
+    with mock.patch.multiple(
+        epidemic, TABLE_CAP=cap, _kernel_cache=(None, None), _hypot_survival=hypot
     ):
         for seed in range(5):
             states = _random_states(grid.count, 3, seed)
@@ -550,7 +551,7 @@ def _assert_table_matches_loop(grid, seed, beta0, cutoff, block=None):
     states = _random_states(grid.count, 3, seed)
     susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
     infected = np.flatnonzero(states.status == Status.INFECTED)
-    assert epidemic._kernel_table(grid, beta0, cutoff) is not None
+    assert epidemic._kernel(grid, beta0, cutoff).table is not None
     with mock.patch.object(epidemic, "_BLOCK", block or epidemic._BLOCK):
         table = epidemic._survival(grid, susceptible, infected, beta0, cutoff)
     loop = epidemic._hypot_survival(grid, susceptible, infected, beta0, cutoff)
@@ -639,7 +640,7 @@ def test_table_kernel_cases(width, spacing, explicit_count, beta0, cutoff):
 def test_hypot_ignores_signs_on_every_table_input(width, spacing):
     # The desk lattice, the largest square table under the cap, and others.
     grid = layout_grid(FieldSpec(width, width), SeedingStrategy(spacing, spacing))
-    assert epidemic._kernel_table(grid, 0.003, math.inf) is not None
+    assert epidemic._kernel(grid, 0.003, math.inf).table is not None
     _assert_hypot_ignores_signs(grid)
 
 
@@ -652,7 +653,7 @@ def test_lattices_of_one_shape_get_their_own_tables():
         grid = layout_grid(FieldSpec(2.0, 2.0 * spacing / 0.25),
                            SeedingStrategy(0.25, spacing))
         assert (grid.xs.size, grid.ys.size) == (9, 9)
-        tables.append(epidemic._kernel_table(grid, 0.3, math.inf)[0].copy())
+        tables.append(epidemic._kernel(grid, 0.3, math.inf).table[0].copy())
         _assert_table_matches_loop(grid, 0, 0.3, math.inf)
         del grid
     assert np.array_equal(tables[0], tables[2])
@@ -663,15 +664,17 @@ def test_lattices_of_one_shape_get_their_own_tables():
 def test_a_lattice_above_the_cap_builds_no_table():
     full = layout_grid(FieldSpec(), SeedingStrategy())  # 501 x 501 plants
     # Ruled out by its shape: no gap is computed.
-    with mock.patch.object(epidemic, "_axis_gaps", side_effect=AssertionError("gaps")):
-        assert epidemic._kernel_table(full, 0.003, math.inf) is None
+    with mock.patch.object(
+        epidemic, "_axis_gaps", side_effect=AssertionError("gaps")
+    ), mock.patch.object(epidemic, "_kernel_cache", (None, None)):
+        assert epidemic._kernel(full, 0.003, math.inf).table is None
     # Index maps within the cap (2 * 121**2 entries), but 413**2 gap pairs.
     wide = layout_grid(FieldSpec(12.0, 12.0), SeedingStrategy(0.1, 0.1))
-    assert epidemic._kernel_table(wide, 0.003, math.inf) is None
+    assert epidemic._kernel(wide, 0.003, math.inf).table is None
     desk = layout_grid(FieldSpec(10.0, 10.0), SeedingStrategy(0.2, 0.2))
-    assert epidemic._kernel_table(desk, 0.003, math.inf) is not None
-    with mock.patch.object(epidemic, "TABLE_CAP", 2 * 51**2 - 1):
-        assert epidemic._kernel_table(desk, 0.003, math.inf) is None
+    assert epidemic._kernel(desk, 0.003, math.inf).table is not None
+    with mock.patch.multiple(epidemic, TABLE_CAP=2 * 51**2 - 1, _kernel_cache=(None, None)):
+        assert epidemic._kernel(desk, 0.003, math.inf).table is None
 
 
 @pytest.mark.parametrize("mode", list(PlacementMode))
@@ -684,9 +687,13 @@ def test_seasons_are_the_same_with_and_without_the_table(mode):
     )
     for seed in range(3):
         sc = replace(scenario, rng_seed=seed)
-        table = run(sc)
-        with mock.patch.object(epidemic, "TABLE_CAP", 0):
-            loop = run(sc)
+        hypot = mock.Mock(wraps=epidemic._hypot_survival)
+        with mock.patch.object(epidemic, "_hypot_survival", hypot):
+            table = run(sc)
+            assert hypot.call_count == 0  # every round read the table
+            with mock.patch.multiple(epidemic, TABLE_CAP=0, _kernel_cache=(None, None)):
+                loop = run(sc)
+            assert hypot.call_count > 0
         assert table.trajectory == loop.trajectory
         assert repr(table.total_profit) == repr(loop.total_profit)
 
@@ -697,12 +704,18 @@ def test_seasons_are_the_same_with_and_without_the_table(mode):
 @contextlib.contextmanager
 def _windows(exceptions=math.inf):
     # Every round of any lattice without a kernel table takes the window path:
-    # any shape, and any exception list unless `exceptions` bounds it.
-    with mock.patch.object(epidemic, "TABLE_CAP", 0), mock.patch.object(
-        epidemic, "WINDOW_MIN", 0
-    ), mock.patch.object(epidemic, "_WINDOW_TARGETS", 0.0), mock.patch.object(
-        epidemic, "_WINDOW_EXCEPTIONS", exceptions
-    ), mock.patch.object(epidemic, "_WINDOW_ASPECT", math.inf):
+    # any shape, and any exception list unless `exceptions` bounds it. The
+    # kernel states built under these gates start from an empty cache and
+    # are dropped on exit, so no state outlives the gates it was decided by.
+    with mock.patch.multiple(
+        epidemic,
+        TABLE_CAP=0,
+        WINDOW_MIN=0,
+        _WINDOW_TARGETS=0.0,
+        _WINDOW_EXCEPTIONS=exceptions,
+        _WINDOW_ASPECT=math.inf,
+        _kernel_cache=(None, None),
+    ):
         yield
 
 
@@ -712,8 +725,8 @@ def _assert_window_matches_loop(grid, seed, beta0, cutoff):
     susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
     infected = np.flatnonzero(states.status == Status.INFECTED)
     with _windows():
-        assert epidemic._window_table(grid, beta0, cutoff) is not None
         window = epidemic._survival(grid, susceptible, infected, beta0, cutoff)
+        assert epidemic._kernel(grid, beta0, cutoff).window is not None
     loop = epidemic._hypot_survival(grid, susceptible, infected, beta0, cutoff)
     assert np.array_equal(window, loop)  # bit for bit
 
@@ -735,7 +748,9 @@ def test_the_exception_list_is_complete(case):
     grid, cutoff = _table_case_grid(case)
     beta0 = case["beta0"]
     with _windows():
-        table, shift, exact, xv, yv, x_seen, y_seen = epidemic._window_table(grid, beta0, cutoff)
+        table, shift, exact, xv, yv, x_seen, y_seen = epidemic._build_window(
+            grid.xs, grid.ys, beta0, cutoff
+        )
     nx, ny = grid.xs.size, grid.ys.size
     rows, columns = np.divmod(np.arange(nx * ny), ny)
     for p in range(nx * ny):
@@ -785,7 +800,9 @@ def test_window_bands_split_exception_targets(band):
     rows = {"nx - 1": nx - 1, "nx": nx}.get(band, band)
     edges = np.arange(rows, nx, rows) * ny
     with _windows():
-        _, shift, _, xv, yv, x_seen, y_seen = epidemic._window_table(grid, 0.3, math.inf)
+        _, shift, _, xv, yv, x_seen, y_seen = epidemic._build_window(
+            grid.xs, grid.ys, 0.3, math.inf
+        )
     assert np.all(np.diff(shift) >= 0)
     split = 0
     for p in (0, grid.count // 2, grid.count - 1):
@@ -826,13 +843,12 @@ def test_a_long_exception_list_falls_back_to_hypot():
     susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
     infected = np.flatnonzero(states.status == Status.INFECTED)
     with _windows():
-        assert epidemic._window_table(grid, 0.3, math.inf)[1].size > 0  # it has exceptions
+        # it has exceptions
+        assert epidemic._build_window(grid.xs, grid.ys, 0.3, math.inf)[1].size > 0
     hypot = mock.Mock(wraps=epidemic._hypot_survival)
-    with _windows(exceptions=0.0), mock.patch.object(
-        epidemic, "_window_cache", (None, None)
-    ), mock.patch.object(epidemic, "_hypot_survival", hypot):
-        assert epidemic._window_table(grid, 0.3, math.inf) is None
+    with _windows(exceptions=0.0), mock.patch.object(epidemic, "_hypot_survival", hypot):
         survival = epidemic._survival(grid, susceptible, infected, 0.3, math.inf)
+        assert epidemic._kernel(grid, 0.3, math.inf).window is None
     assert hypot.call_count == 1
     assert np.array_equal(survival, epidemic._hypot_survival(grid, susceptible, infected, 0.3,
                                                               math.inf))
@@ -844,7 +860,7 @@ def test_a_sparse_round_falls_back_to_hypot():
     susceptible = np.arange(3, grid.count, 16)
     infected = np.array([0, 1, 2, 125_000])
     assert susceptible.size < epidemic._WINDOW_TARGETS * grid.count
-    with mock.patch.object(epidemic, "_window_table", side_effect=AssertionError("window")):
+    with mock.patch.object(epidemic, "_window_survival", side_effect=AssertionError("window")):
         survival = epidemic._survival(grid, susceptible, infected, 0.003, 3000.0)
     with _windows():
         window = epidemic._survival(grid, susceptible, infected, 0.003, 3000.0)
@@ -853,21 +869,25 @@ def test_a_sparse_round_falls_back_to_hypot():
 
 def test_a_strip_lattice_builds_no_window_table():
     strip = layout_grid(FieldSpec(0.2, 10.0), SeedingStrategy(0.2, 0.02))  # 2 x 501 plants
-    with mock.patch.object(epidemic, "_build_window", side_effect=AssertionError("build")):
-        assert epidemic._window_table(strip, 0.003, math.inf) is None
+    with mock.patch.object(
+        epidemic, "_build_window", side_effect=AssertionError("build")
+    ), mock.patch.object(epidemic, "_kernel_cache", (None, None)):
+        assert epidemic._kernel(strip, 0.003, math.inf).window is None
 
 
 def test_lattices_of_one_shape_get_their_own_window_tables():
     spacings = (0.25, 0.5, 0.25, 0.3)
     tables = []
-    for spacing in spacings:
-        grid = layout_grid(FieldSpec(2.0, 2.0 * spacing / 0.25),
-                           SeedingStrategy(0.25, spacing))
-        assert (grid.xs.size, grid.ys.size) == (9, 9)
-        with _windows():
-            tables.append(epidemic._window_table(grid, 0.3, math.inf)[0].copy())
-        _assert_window_matches_loop(grid, 0, 0.3, math.inf)
-        del grid
+    with _windows():  # one cache for the four lattices
+        for spacing in spacings:
+            grid = layout_grid(FieldSpec(2.0, 2.0 * spacing / 0.25),
+                               SeedingStrategy(0.25, spacing))
+            assert (grid.xs.size, grid.ys.size) == (9, 9)
+            # A window round builds the offset table.
+            epidemic._survival(grid, np.arange(grid.count), np.arange(1), 0.3, math.inf)
+            tables.append(epidemic._kernel(grid, 0.3, math.inf).window[0].copy())
+            _assert_window_matches_loop(grid, 0, 0.3, math.inf)
+            del grid
     assert np.array_equal(tables[0], tables[2])
     assert not np.array_equal(tables[0], tables[1])
     assert not np.array_equal(tables[1], tables[3])
@@ -883,10 +903,16 @@ def test_seasons_are_the_same_with_and_without_windows(mode):
     )
     for seed in range(3):
         sc = replace(scenario, rng_seed=seed)
-        with _windows():
-            window = run(sc)
-        with mock.patch.object(epidemic, "TABLE_CAP", 0):
-            loop = run(sc)
+        hypot = mock.Mock(wraps=epidemic._hypot_survival)
+        windows = mock.Mock(wraps=epidemic._window_survival)
+        with mock.patch.multiple(epidemic, _hypot_survival=hypot, _window_survival=windows):
+            with _windows():
+                window = run(sc)
+            taken = windows.call_count
+            assert hypot.call_count == 0 and taken > 0
+            with mock.patch.multiple(epidemic, TABLE_CAP=0, _kernel_cache=(None, None)):
+                loop = run(sc)
+            assert hypot.call_count > 0 and windows.call_count == taken
         assert window.trajectory == loop.trajectory
         assert repr(window.total_profit) == repr(loop.total_profit)
 
@@ -908,7 +934,7 @@ def _assert_rounds_match_reference(grid, status, params, seed, rounds):
     round can have more susceptible plants than the one before), and after
     it the states and the RNG streams must agree bit for bit. No engine
     round may take the np.hypot path. Returns how many rounds took the
-    window path with the lattice's work arrays."""
+    window path with the work arrays of the lattice's kernel state."""
     fast, slow = PlantStates(grid.count), PlantStates(grid.count)
     fast.status[:] = slow.status[:] = status
     fast.infected_at[status != Status.SUSCEPTIBLE] = 1
@@ -919,16 +945,18 @@ def _assert_rounds_match_reference(grid, status, params, seed, rounds):
     for t, (edit, epsilon_p) in enumerate(rounds, start=1):
         for states in (fast, slow):
             edit(states.status, np.random.default_rng([seed, t]))
+        calls = kept.call_count
         with no_hypot, mock.patch.object(epidemic, "_window_survival", kept):
             step(grid, fast, params, fast_rng, t, epsilon_p=epsilon_p)
+        if kept.call_count > calls:
+            arrays = epidemic._kernel_cache[1].work
+            assert kept.call_args.args[3] is arrays
+            assert arrays[0].shape == (grid.xs.size, grid.ys.size)
         with mock.patch.object(epidemic, "_draw_infections", _reference_draw_infections):
             step(grid, slow, params, slow_rng, t, epsilon_p=epsilon_p)
         assert np.array_equal(fast.status, slow.status)
         assert np.array_equal(fast.infected_at, slow.infected_at)
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
-    shape, arrays = epidemic._work_cache
-    assert all(call.args[3] is arrays for call in kept.call_args_list)
-    assert kept.call_count == 0 or shape == (grid.xs.size, grid.ys.size)
     return kept.call_count
 
 
@@ -1018,19 +1046,74 @@ def test_full_scale_kept_arrays_survive_a_change_of_lattice():
     desk_rounds = [(keep, 1e-6), (_shrink, 1e-6), (_grow, 0.3 / 0.5)]
 
     held = []
-    for grid, status, beta0, rounds in (
-        (full, full_status, 0.003, full_rounds),
-        (desk, desk_status, 0.3, desk_rounds),
-        (full, full_status, 0.003, full_rounds[::-1]),
-    ):
-        params = PathogenParams(beta0=beta0, gamma=0.2)
-        with _windows() if grid is desk else contextlib.nullcontext():
+    # The full-scale rounds pass every window gate at its real value too, so
+    # the patched gates only let the desk rounds take the window path; and
+    # the three lattices share one cache, so each change of lattice
+    # replaces the state of the one before.
+    with _windows():
+        for grid, status, beta0, rounds in (
+            (full, full_status, 0.003, full_rounds),
+            (desk, desk_status, 0.3, desk_rounds),
+            (full, full_status, 0.003, full_rounds[::-1]),
+        ):
+            params = PathogenParams(beta0=beta0, gamma=0.2)
             taken = _assert_rounds_match_reference(grid, status, params, 7, rounds)
-        assert taken == len(rounds)
-        held.append(epidemic._work_cache)
+            assert taken == len(rounds)
+            held.append(epidemic._kernel_cache[1].work)
     # Each change of lattice shape replaced the work arrays.
-    assert [key for key, _ in held] == [(501, 501), (51, 51), (501, 501)]
-    assert held[0][1][0] is not held[2][1][0] and held[0][1][1] is not held[2][1][1]
+    assert [arrays[0].shape for arrays in held] == [(501, 501), (51, 51), (501, 501)]
+    assert held[0][0] is not held[2][0] and held[0][1] is not held[2][1]
+
+
+def test_a_kernel_state_lives_until_another_lattice_or_pathogen_runs():
+    full = layout_grid(FieldSpec(), SeedingStrategy())  # 501 x 501 plants
+    desk = layout_grid(FieldSpec(10.0, 10.0), SeedingStrategy(0.2, 0.2))  # 51 x 51
+
+    def round_on(grid, beta0, share=1):
+        # One round with two infected plants and every share-th plant
+        # susceptible, without a cutoff, so only beta0 tells two pathogens
+        # apart: at full scale a window round when share is 1.
+        states = PlantStates(grid.count)
+        states.status[np.arange(grid.count) % share != 0] = Status.REMOVED
+        states.infect(np.array([0, grid.count // 2]), 1)
+        params = PathogenParams(beta0=beta0, gamma=0.2)
+        step(grid, states, params, np.random.default_rng(0), epsilon_p=0.0)
+        return epidemic._kernel_cache[1]
+
+    with mock.patch.object(epidemic, "_kernel_cache", (None, None)):
+        # A sparse round takes np.hypot and builds no offset table; the
+        # lattice's first window round builds it.
+        assert round_on(full, 0.003, share=16).window is False
+        state = round_on(full, 0.003)
+        assert state.table is None and isinstance(state.window, tuple)
+        released = [weakref.ref(a) for a in (state.window[0], *state.work)]
+        del state
+        # A desk round frees the full-scale offset table and work arrays.
+        state = round_on(desk, 0.3)
+        assert state.table is not None and state.window is None and state.work is None
+        assert [ref() for ref in released] == [None, None, None]
+
+        # The full-scale lattice at a second beta0 gets a state of its own.
+        first = round_on(full, 0.003)
+        second = round_on(full, 0.005)
+        assert second is not first and second.work is not first.work
+        assert not np.array_equal(second.window[0], first.window[0])
+        del first, second
+
+        # Within one key, a batch builds each table once.
+        pathogen = PathogenParams(beta0=0.003, gamma=0.2, initial_infected=3)
+        for field, strategy, builds in (
+            (FieldSpec(), SeedingStrategy(), (0, 1)),  # an offset table
+            (FieldSpec(10.0, 10.0), SeedingStrategy(0.2, 0.2), (1, 0)),  # a kernel table
+        ):
+            scenario = _scenario(field=field, strategy=strategy, pathogen=pathogen)
+            with mock.patch.object(
+                epidemic, "_build_table", wraps=epidemic._build_table
+            ) as table, mock.patch.object(
+                epidemic, "_build_window", wraps=epidemic._build_window
+            ) as window:
+                epidemic.run_batch(scenario, range(3))
+            assert (table.call_count, window.call_count) == builds
 
 
 def test_a_warm_full_scale_season_allocates_no_lattice_arrays():
@@ -1111,7 +1194,7 @@ def test_a_batched_season_is_the_single_season_of_its_seed(case):
     scenario = _batch_scenario(case)
     options = {"deterministic_duration": case["deterministic_duration"]}
     cap = epidemic.TABLE_CAP if case["table"] else 0  # 0: the np.hypot path
-    with mock.patch.object(epidemic, "TABLE_CAP", cap):
+    with mock.patch.multiple(epidemic, TABLE_CAP=cap, _kernel_cache=(None, None)):
         batch = epidemic.run_batch(scenario, case["seeds"], **options)
         singles = [run(replace(scenario, rng_seed=seed), **options) for seed in case["seeds"]]
     assert len(batch) == len(singles)

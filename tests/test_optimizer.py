@@ -572,7 +572,7 @@ def test_compare_strategies_builds_one_table_per_lattice(monkeypatch):
         field=FieldSpec(2.0, 2.0),
         pathogen=PathogenParams(beta0=0.05, gamma=0.2, initial_infected=2),
     )
-    monkeypatch.setattr(epidemic, "_table_cache", (None, None))
+    monkeypatch.setattr(epidemic, "_kernel_cache", (None, None))
     with mock.patch.object(epidemic, "_build_table", wraps=epidemic._build_table) as build:
         compare_strategies(
             scenario, SeedingStrategy(0.2, 0.2), SeedingStrategy(0.3, 0.3), n_reps=3
