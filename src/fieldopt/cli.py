@@ -135,17 +135,15 @@ def _load(args, default_factory):
 
 
 def _resolve_seed(args, scenario) -> int:
-    seed, env = args.seed, os.environ.get("FIELDOPT_SEED")
-    if seed is None and env is None:
-        return scenario.rng_seed
-    if seed is None:
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("FIELDOPT_SEED")
+    if env is not None:
         try:
-            seed = int(env)
+            return int(env)
         except ValueError as exc:
             raise ValidationError(f"FIELDOPT_SEED must be an integer, got {env!r}") from exc
-    if not 0 <= seed < 2**64:  # a season seed, or the base of derive_seed
-        raise ValidationError("invariant violated: 0 <= seed < 2**64")
-    return seed
+    return scenario.rng_seed
 
 
 def _cmd_simulate(args) -> int:

@@ -249,8 +249,7 @@ def _survival(
     kernel = _kernel(grid, beta0, cutoff)
     if kernel.table is not None:
         return _table_survival(kernel.table, grid.ys.size, targets, infected)
-    window_round = grid.count >= WINDOW_MIN and targets.size >= _WINDOW_TARGETS * grid.count
-    if kernel.window is not None and window_round:
+    if grid.count >= WINDOW_MIN and targets.size >= _WINDOW_TARGETS * grid.count:
         if kernel.window is False:  # the lattice's first window round
             kernel.window = _build_window(grid.xs, grid.ys, beta0, cutoff)
         if kernel.window is not None:

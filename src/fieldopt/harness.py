@@ -105,6 +105,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         checks = [
+            (0 <= self.master_seed < 2**64, "0 <= master_seed < 2**64"),
             (self.replicates >= 1, "replicates >= 1"),
             (len(self.sizes) >= 1, "sizes non-empty"),
             (all(s >= 4 for s in self.sizes), "sizes >= 4"),

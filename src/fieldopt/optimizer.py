@@ -249,6 +249,8 @@ def optimize(
             "invariant violated: densest candidate lattice has a finite plant count"
         )
     base_seed = scenario.rng_seed if base_seed is None else base_seed
+    if not 0 <= base_seed < 2**64:
+        raise ValidationError("invariant violated: 0 <= base_seed < 2**64")
     dx, dy = _candidates(scenario.field, search, delta, budget, base_seed)
     if not len(dx):
         raise ValidationError("infeasible: W or H below the minimal seeding distance")

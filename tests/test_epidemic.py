@@ -1045,19 +1045,29 @@ def test_full_scale_kept_arrays_survive_a_change_of_lattice():
     desk_status = _random_states(desk.count, 1, 5).status
     desk_rounds = [(keep, 1e-6), (_shrink, 1e-6), (_grow, 0.3 / 0.5)]
 
+    desk_gates = mock.patch.multiple(
+        epidemic,
+        TABLE_CAP=0,
+        WINDOW_MIN=0,
+        _WINDOW_TARGETS=0.0,
+        _WINDOW_EXCEPTIONS=math.inf,
+        _WINDOW_ASPECT=math.inf,
+    )
     held = []
-    # The full-scale rounds pass every window gate at its real value too, so
-    # the patched gates only let the desk rounds take the window path; and
-    # the three lattices share one cache, so each change of lattice
-    # replaces the state of the one before.
-    with _windows():
+    # The full-scale rounds pass every window gate at its real value; only
+    # the desk rounds need patched gates to take the window path. The three
+    # lattices share one cache, so each change of lattice replaces the
+    # state of the one before, and the desk state, decided under the
+    # patched gates, is gone before the last full-scale rounds.
+    with mock.patch.object(epidemic, "_kernel_cache", (None, None)):
         for grid, status, beta0, rounds in (
             (full, full_status, 0.003, full_rounds),
             (desk, desk_status, 0.3, desk_rounds),
             (full, full_status, 0.003, full_rounds[::-1]),
         ):
             params = PathogenParams(beta0=beta0, gamma=0.2)
-            taken = _assert_rounds_match_reference(grid, status, params, 7, rounds)
+            with desk_gates if grid is desk else contextlib.nullcontext():
+                taken = _assert_rounds_match_reference(grid, status, params, 7, rounds)
             assert taken == len(rounds)
             held.append(epidemic._kernel_cache[1].work)
     # Each change of lattice shape replaced the work arrays.

@@ -51,6 +51,12 @@ def test_spec_validation():
         ExperimentSpec(sizes=())
 
 
+@pytest.mark.parametrize("master_seed", [-1, 2**64])
+def test_spec_rejects_a_master_seed_outside_64_bits(master_seed):
+    with pytest.raises(ValidationError, match="master_seed"):
+        ExperimentSpec(master_seed=master_seed)
+
+
 # -- baseline -----------------------------------------------------------------
 
 

@@ -247,6 +247,14 @@ def test_optimize_infeasible_field_errors():
         optimize(scenario, search=SearchMethod.GRID, mode=ScoreMode.ANALYTIC, delta=0.1)
 
 
+@pytest.mark.parametrize("base_seed", [-1, 2**64])
+def test_optimize_rejects_a_base_seed_outside_64_bits(base_seed):
+    scenario = _scenario()
+    for search in SearchMethod:
+        with pytest.raises(ValidationError, match="base_seed"):
+            optimize(scenario, search=search, mode=ScoreMode.SIMULATED, base_seed=base_seed)
+
+
 def test_optimize_simulated_mode_drops_explicit_count():
     # 30 exceeds the capacity of the sparser candidates, so keeping the
     # override would fail scenario validation during the search
