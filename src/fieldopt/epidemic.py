@@ -15,7 +15,11 @@ axis values, and a lattice has only about 3.5 * nx distinct x gaps and
 3.5 * ny distinct y gaps. So a lattice whose kernel table fits in
 TABLE_CAP entries gets the factor 1 - p computed once per pair of distinct
 gaps, by the float operations the per-pair path uses, and its rounds look
-the factors up: the same bits, without a hypot per pair.
+the factors up: the same bits, without a hypot per pair. A round whose
+targets are at least half the lattice's nx * ny points gathers, for each
+infected plant, the factors of the whole lattice into a lattice survival,
+and then the targets from it; other rounds gather each (infected, target)
+pair's factor.
 
 A lattice of at least WINDOW_MIN plants gets an offset table instead: the
 factor at each (row offset, column offset), and the short list of
@@ -301,12 +305,13 @@ def _kernel(grid: PlantGrid, beta0: float, cutoff: float) -> _Kernel:
 
 
 # Most entries the kernel table may hold, and most entries its two index
-# maps may hold together (nx**2 + ny**2): 1 MiB of factors plus at most
-# 512 KiB of int32 indices. A lattice has about 12 * nx * ny distinct
-# pair-gap combinations, so square lattices up to about 100 x 100 plants
-# get a table; the 501 x 501 full-scale lattice is ruled out by its shape
-# alone, before any work.
-TABLE_CAP = 1 << 17
+# maps may hold together (nx**2 + ny**2): 2 MiB of factors plus at most
+# 1 MiB of int32 indices. A lattice has about 12 * nx * ny distinct
+# pair-gap combinations, so square lattices up to about 160 x 160 plants
+# get a table, every lattice of `compare` among them (up to 121 x 121
+# plants: 413 x 413 factors, 1.4 MB); the 501 x 501 full-scale lattice is
+# ruled out by its shape alone, before any work.
+TABLE_CAP = 1 << 18
 
 # (source, target) pairs per block of gathered table indices and factors
 # in `_table_survival`: 256 KiB at 16 B each (two int32 indices and one
@@ -354,11 +359,16 @@ def _build_table(xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
 def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
     """`_survival` by lookup: for each infected plant in ascending order,
     gather every target's factor from the table and multiply it into the
-    survival. Blocks of at most _BLOCK (source, target) pairs bound the
-    gathered arrays: at most _BLOCK targets at a time, and as many sources
-    as fit; each source row is still multiplied in on its own, in order."""
+    survival. A round whose targets are at least half the lattice's points
+    reads the whole lattice per plant (`_lattice_table_survival`). Other
+    rounds read blocks of at most _BLOCK (source, target) pairs, which bound
+    the gathered arrays: at most _BLOCK targets at a time, and as many
+    sources as fit; each source row is still multiplied in on its own, in
+    order."""
     factors, ix, iy = table
     n = targets.size
+    if 2 * n >= ix.shape[0] * ny:
+        return _lattice_table_survival(table, targets, infected)
     target_x, target_y = np.divmod(targets, ny)
     source_x, source_y = np.divmod(infected, ny)
     survival = np.ones(n)
@@ -378,6 +388,30 @@ def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -
     return survival
 
 
+def _lattice_table_survival(table, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
+    """`_table_survival` read per plant: for each infected plant (r, c) in
+    ascending order, the factors of every lattice point, gathered at
+    ix[r][:, None] + iy[c][None, :] and multiplied into a survival over the
+    whole lattice; the targets are gathered from it at the end. That is one
+    gather per lattice point and infected plant, against three per pair in
+    the block read, so it pays where about half the points or more are
+    targets. Every target gets the same factors in the same order, so the
+    bits are the block read's."""
+    factors, ix, iy = table
+    nx, ny = ix.shape[0], iy.shape[0]
+    survival = np.ones((nx, ny))
+    index = np.empty((nx, ny), dtype=np.intp)  # take would convert int32 each call
+    row = np.empty((nx, ny))
+    source_x, source_y = np.divmod(infected, ny)
+    for r, c in zip(source_x.tolist(), source_y.tolist()):
+        np.add(ix[r][:, None], iy[c][None, :], out=index)
+        # Every index is a (gap, gap) entry of the table, so clipping
+        # changes none; it spares the buffer mode="raise" puts `out` through.
+        factors.take(index, out=row, mode="clip")
+        np.multiply(survival, row, out=survival)
+    return survival.reshape(-1).take(targets)
+
+
 # When a round takes the offset-table window path. A window costs about
 # 0.8 to 1.4 ns per lattice plant, against about 12 to 16 ns per
 # susceptible target for np.hypot on one CPU (full-scale lattice, 2-vCPU
@@ -387,9 +421,9 @@ def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -
 # and a lattice with at most _WINDOW_EXCEPTIONS exceptions per plant,
 # counted before `_build_window` lists each once per pair of offset signs
 # (1,175 exceptions in 4,636 entries on the full-scale lattice at beta0 =
-# 0.003); every entry adds work to every window. The smaller lattices
-# without a kernel table (the 12,000 to 15,000 plants of `compare`) ran no
-# faster with windows.
+# 0.003); every entry adds work to every window. Windows ran no faster
+# than np.hypot on lattices of 12,000 to 15,000 plants (`compare`'s, which
+# get a kernel table), hence WINDOW_MIN.
 # Listing the gaps of an axis of n points takes n**2 / 2 subtractions, so
 # a lattice farther than about _WINDOW_ASPECT : 1 from square (a 2 x 10**7
 # strip) gets no offset table.

@@ -356,6 +356,8 @@ def compare_strategies(
     if n_reps < 2:
         raise ValidationError("invariant violated: n_reps >= 2")
     base_seed = scenario.rng_seed if base_seed is None else base_seed
+    if not 0 <= base_seed < 2**64:
+        raise ValidationError("invariant violated: 0 <= base_seed < 2**64")
     seeds = [derive_seed(base_seed, "compare", i) for i in range(n_reps)]
 
     placements = (PlacementMode.RANDOM, PlacementMode.WORST_CASE)

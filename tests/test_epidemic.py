@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fieldopt import epidemic
@@ -668,9 +668,12 @@ def test_a_lattice_above_the_cap_builds_no_table():
         epidemic, "_axis_gaps", side_effect=AssertionError("gaps")
     ), mock.patch.object(epidemic, "_kernel_cache", (None, None)):
         assert epidemic._kernel(full, 0.003, math.inf).table is None
-    # Index maps within the cap (2 * 121**2 entries), but 413**2 gap pairs.
-    wide = layout_grid(FieldSpec(12.0, 12.0), SeedingStrategy(0.1, 0.1))
+    # Index maps within the cap (2 * 181**2 entries), but 667**2 gap pairs.
+    wide = layout_grid(FieldSpec(18.0, 18.0), SeedingStrategy(0.1, 0.1))
     assert epidemic._kernel(wide, 0.003, math.inf).table is None
+    # compare's largest lattice, 121 x 121 plants and 413**2 gap pairs.
+    largest = layout_grid(FieldSpec(12.0, 12.0), SeedingStrategy(0.1, 0.1))
+    assert epidemic._kernel(largest, 0.003, math.inf).table is not None
     desk = layout_grid(FieldSpec(10.0, 10.0), SeedingStrategy(0.2, 0.2))
     assert epidemic._kernel(desk, 0.003, math.inf).table is not None
     with mock.patch.multiple(epidemic, TABLE_CAP=2 * 51**2 - 1, _kernel_cache=(None, None)):
@@ -691,6 +694,117 @@ def test_seasons_are_the_same_with_and_without_the_table(mode):
         with mock.patch.object(epidemic, "_hypot_survival", hypot):
             table = run(sc)
             assert hypot.call_count == 0  # every round read the table
+            with mock.patch.multiple(epidemic, TABLE_CAP=0, _kernel_cache=(None, None)):
+                loop = run(sc)
+            assert hypot.call_count > 0
+        assert table.trajectory == loop.trajectory
+        assert repr(table.total_profit) == repr(loop.total_profit)
+
+
+# -- the per-plant table read against the np.hypot loop --------------------------
+
+
+def _assert_table_reads_match_loop(grid, targets, infected, beta0, cutoff):
+    # Returns whether the round read the table per plant, which it must do
+    # exactly when at least half the lattice's nx * ny points are targets.
+    lattice = mock.Mock(wraps=epidemic._lattice_table_survival)
+    with mock.patch.object(epidemic, "_lattice_table_survival", lattice):
+        table = epidemic._survival(grid, targets, infected, beta0, cutoff)
+    assert epidemic._kernel(grid, beta0, cutoff).table is not None
+    loop = epidemic._hypot_survival(grid, targets, infected, beta0, cutoff)
+    assert np.array_equal(table, loop)  # bit for bit
+    per_plant = 2 * targets.size >= grid.xs.size * grid.ys.size
+    assert lattice.call_count == per_plant
+    return per_plant
+
+
+def _edge_plants(grid):
+    """The corners of the lattice, those of its last full row, and a plant
+    on the middle of each edge."""
+    nx, ny, last = grid.xs.size, grid.ys.size, grid.count - 1
+    full = (grid.count // ny - 1) * ny  # the start of the last full row
+    picks = [0, ny - 1, full, full + ny - 1, (nx - 1) * ny, last,
+             ny // 2, (nx // 2) * ny, (nx // 2) * ny + ny - 1, full + ny // 2]
+    return np.unique(np.minimum(picks, last))
+
+
+def _targets_around_the_gate(grid, infected, above, seed):
+    """Targets among the other plants: half the lattice's nx * ny points,
+    rounded up, or one fewer; at most all the other plants."""
+    half = -(-grid.xs.size * grid.ys.size // 2)
+    others = np.setdiff1d(np.arange(grid.count), infected)
+    size = min(others.size, half if above else half - 1)
+    return np.sort(np.random.default_rng(seed).choice(others, size=size, replace=False))
+
+
+@pytest.mark.parametrize(
+    "width, height, spacing, explicit_count",
+    [
+        (4.0, 4.0, 0.2, None),  # 21 x 21
+        (3.0, 2.0, 0.2, 170),  # 16 x 11 points, a last row of 5 plants
+        (0.7, 0.7, 0.1, None),  # 8 x 8, the last row and column clamped
+    ],
+)
+@pytest.mark.parametrize(
+    "beta0, cutoff",
+    [
+        (0.6, math.inf),  # beta0 >= spacing: p = 1 pairs; no cutoff
+        (0.003, 0.5),  # a cutoff shorter than the span
+        (0.002, 1.0),  # a cutoff at a lattice distance
+    ],
+)
+@pytest.mark.parametrize("sources", ["one", "edges", "random"])
+@pytest.mark.parametrize("above", [True, False])
+def test_the_per_plant_table_read_cases(
+    width, height, spacing, explicit_count, beta0, cutoff, sources, above
+):
+    grid = layout_grid(FieldSpec(width, height), SeedingStrategy(spacing, spacing),
+                       explicit_count)
+    if explicit_count is not None:
+        assert grid.count % grid.ys.size  # a partial last row
+    for seed in range(3):
+        pick = np.random.default_rng(seed)
+        infected = {
+            "one": pick.choice(grid.count, size=1),
+            "edges": _edge_plants(grid),
+            "random": np.sort(pick.choice(grid.count, size=grid.count // 5, replace=False)),
+        }[sources]
+        targets = _targets_around_the_gate(grid, infected, above, seed)
+        assert _assert_table_reads_match_loop(grid, targets, infected, beta0, cutoff) == above
+
+
+@settings(max_examples=100)
+@given(table_cases, st.booleans(), st.integers(1, 8))
+def test_the_per_plant_table_read_matches_hypot_loop(case, above, sources):
+    grid, cutoff = _table_case_grid(case)
+    assume(grid.count >= 2)
+    pick = np.random.default_rng(case["seed"])
+    infected = np.sort(pick.choice(grid.count, size=min(sources, grid.count - 1), replace=False))
+    targets = _targets_around_the_gate(grid, infected, above, case["seed"])
+    with mock.patch.object(epidemic, "_BLOCK", case["block"] or epidemic._BLOCK):
+        _assert_table_reads_match_loop(grid, targets, infected, case["beta0"], cutoff)
+
+
+@pytest.mark.parametrize("mode", list(PlacementMode))
+def test_seasons_are_the_same_with_both_table_reads(mode):
+    # 21 x 21 plants: the first rounds have most plants as targets and read
+    # the table per plant; the later ones read it by blocks.
+    scenario = _scenario(
+        field=FieldSpec(5.0, 5.0),
+        pathogen=PathogenParams(beta0=0.02, gamma=0.2, initial_infected=3),
+        horizon_steps=8,
+        placement_mode=mode,
+    )
+    for seed in range(3):
+        sc = replace(scenario, rng_seed=seed)
+        hypot = mock.Mock(wraps=epidemic._hypot_survival)
+        reads = mock.Mock(wraps=epidemic._table_survival)
+        lattice = mock.Mock(wraps=epidemic._lattice_table_survival)
+        with mock.patch.multiple(epidemic, _hypot_survival=hypot, _table_survival=reads,
+                                 _lattice_table_survival=lattice):
+            table = run(sc)
+            assert hypot.call_count == 0  # every round read the table
+            assert 0 < lattice.call_count < reads.call_count  # both reads ran
             with mock.patch.multiple(epidemic, TABLE_CAP=0, _kernel_cache=(None, None)):
                 loop = run(sc)
             assert hypot.call_count > 0

@@ -255,6 +255,13 @@ def test_optimize_rejects_a_base_seed_outside_64_bits(base_seed):
             optimize(scenario, search=search, mode=ScoreMode.SIMULATED, base_seed=base_seed)
 
 
+@pytest.mark.parametrize("base_seed", [-1, 2**64])
+def test_compare_strategies_rejects_a_base_seed_outside_64_bits(base_seed):
+    strategy = SeedingStrategy(dx_m=0.25, dy_m=0.25)
+    with pytest.raises(ValidationError, match="base_seed"):
+        compare_strategies(_scenario(), strategy, strategy, n_reps=2, base_seed=base_seed)
+
+
 def test_optimize_simulated_mode_drops_explicit_count():
     # 30 exceeds the capacity of the sparser candidates, so keeping the
     # override would fail scenario validation during the search
