@@ -21,23 +21,25 @@ infected plant, the factors of the whole lattice into a lattice survival,
 and then the targets from it; other rounds gather each (infected, target)
 pair's factor.
 
-A lattice of at least WINDOW_MIN plants gets an offset table instead: the
-factor at each (row offset, column offset), and the short list of
-(offset, gap) pairs where float rounding gives a pair another factor. A
-round with enough susceptible plants multiplies, for each infected plant,
-the table window centred on it into a survival over the whole lattice and
-then puts back the exact factor at its exception targets: the same bits
-again. It does so one band of lattice rows at a time, so the band stays in
-cache while every infected plant's window passes over it: about 0.8 to
-1.4 ns per lattice plant and infected plant, the less the more plants are
-infected. The window path runs on one CPU; see _BAND for why.
+Any other lattice within _WINDOW_ASPECT : 1 of square gets an offset
+table instead: the factor at each (row offset, column offset), and the
+short list of (offset, gap) pairs where float rounding gives a pair
+another factor. A round with enough susceptible plants multiplies, for
+each infected plant, the table window centred on it into a survival over
+the whole lattice and then puts back the exact factor at its exception
+targets: the same bits again. It does so one band of lattice rows at a
+time, so the band stays in cache while every infected plant's window
+passes over it: about 0.8 to 1.4 ns per lattice plant and infected plant,
+the less the more plants are infected. The window path runs on one CPU;
+see _BAND for why.
 
-What a lattice keeps for its rounds (its kernel table, or its offset table
-and the window rounds' two lattice-length work arrays) is decided once per
-lattice and pathogen and kept for the last of them (see `_Kernel`), so the
-seasons of a batch share it and a window round writes into pages it
-already has. Every other round computes every pair with np.hypot, on one
-CPU. On every path each target's product is formed over the start-of-round
+What a lattice keeps for its rounds (its kernel table or its offset
+table, and two lattice-length work arrays that both lattice reads and
+every round's draws use) is decided once per lattice and pathogen, when
+its state is made, and kept for the last of them (see `_Kernel`), so the
+seasons of a batch share it and a round writes into pages it already
+has. Every other round computes every pair with np.hypot, on one CPU. On
+every path each target's product is formed over the start-of-round
 infected in ascending index order, with the same float operations, and
 every RNG draw is made in the calling thread, so the output does not
 depend on the path.
@@ -235,44 +237,39 @@ def _survival(
     infected: np.ndarray,
     beta0: float,
     cutoff: float,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """prod_i (1 - min(1, beta0 / d_ij)) for each target j over the
     infected i within the cutoff; exactly 1.0 where no pair reaches j.
 
     Reads the lattice's kernel state (see `_Kernel`): its kernel table
-    when it has one; else, in a round of at least WINDOW_MIN plants and
-    many susceptible targets, one offset-table window per infected plant;
-    else np.hypot per pair (`_hypot_survival`). All paths give the same
-    bits.
-
-    `work` is the state's work arrays; a window round writes into them and
-    returns a view of the second. Without it, every path returns a fresh
-    array.
+    when it has one; else its offset table, one window per infected plant,
+    in a round with at least _WINDOW_TARGETS of the plants as targets; else
+    np.hypot per pair (`_hypot_survival`). All paths give the same bits.
+    A read of the whole lattice returns a view of the state's second work
+    array, valid until the lattice's next round; the others return a
+    fresh array.
     """
     kernel = _kernel(grid, beta0, cutoff)
     if kernel.table is not None:
-        return _table_survival(kernel.table, grid.ys.size, targets, infected)
-    if grid.count >= WINDOW_MIN and targets.size >= _WINDOW_TARGETS * grid.count:
-        if kernel.window is False:  # the lattice's first window round
-            kernel.window = _build_window(grid.xs, grid.ys, beta0, cutoff)
-        if kernel.window is not None:
-            return _window_survival(kernel.window, targets, infected, work)
+        return _table_survival(kernel, targets, infected)
+    if kernel.window is not None and targets.size >= _WINDOW_TARGETS * grid.count:
+        return _window_survival(kernel, targets, infected)
     return _hypot_survival(grid, targets, infected, beta0, cutoff)
 
 
 class _Kernel:
     """What one lattice and pathogen keep for their rounds (see `_kernel`),
-    decided once from the lattice's shape: `table`, the kernel table, or
-    None when its index maps or its factors would exceed TABLE_CAP
-    entries; and, for any other lattice within _WINDOW_ASPECT : 1 of
-    square, `window`, False until its first window round builds the
-    offset table (None if the exception list is too long), and `work`, the
-    two work arrays: the (nx, ny) lattice survival, which then takes the
-    round's draws, and the nx * ny survival gathered at the targets, 16 B
-    per plant. Kept from round to round, they cost no fresh pages; and
-    np.empty touches no pages, so a lattice whose rounds never take the
-    window path keeps none resident. Both are None on other lattices."""
+    all decided when the state is made: `table`, the kernel table, or None
+    when its index maps or its factors would exceed TABLE_CAP entries;
+    `window`, for any other lattice within _WINDOW_ASPECT : 1 of square,
+    the offset table, or None (also when its exception list is too long);
+    and `work`, on a lattice with either table, the two work arrays: the
+    (nx, ny) lattice survival, which then takes the round's draws, and the
+    nx * ny survival gathered at the targets, which the kernel table's
+    per-plant read first fills with each plant's factors; 16 B per plant.
+    Kept from round to round, they cost no fresh pages; and np.empty
+    touches no pages, so a lattice keeps resident only what its rounds
+    write. `work` is None on a lattice with neither table."""
 
     __slots__ = ("table", "window", "work")
 
@@ -282,7 +279,8 @@ class _Kernel:
         if nx * nx + ny * ny <= TABLE_CAP:
             self.table = _build_table(xs, ys, beta0, cutoff)
         if self.table is None and nx * nx + ny * ny <= _WINDOW_ASPECT * nx * ny:
-            self.window = False
+            self.window = _build_window(xs, ys, beta0, cutoff)
+        if self.table is not None or self.window is not None:
             self.work = (np.empty((nx, ny)), np.empty(nx * ny))
 
 
@@ -356,7 +354,7 @@ def _build_table(xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
     return table.ravel(), ix, iy
 
 
-def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
+def _table_survival(kernel: _Kernel, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
     """`_survival` by lookup: for each infected plant in ascending order,
     gather every target's factor from the table and multiply it into the
     survival. A round whose targets are at least half the lattice's points
@@ -365,10 +363,11 @@ def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -
     the gathered arrays: at most _BLOCK targets at a time, and as many
     sources as fit; each source row is still multiplied in on its own, in
     order."""
-    factors, ix, iy = table
+    factors, ix, iy = kernel.table
+    ny = iy.shape[0]
     n = targets.size
     if 2 * n >= ix.shape[0] * ny:
-        return _lattice_table_survival(table, targets, infected)
+        return _lattice_table_survival(kernel, targets, infected)
     target_x, target_y = np.divmod(targets, ny)
     source_x, source_y = np.divmod(infected, ny)
     survival = np.ones(n)
@@ -388,20 +387,22 @@ def _table_survival(table, ny: int, targets: np.ndarray, infected: np.ndarray) -
     return survival
 
 
-def _lattice_table_survival(table, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
+def _lattice_table_survival(kernel: _Kernel, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
     """`_table_survival` read per plant: for each infected plant (r, c) in
     ascending order, the factors of every lattice point, gathered at
-    ix[r][:, None] + iy[c][None, :] and multiplied into a survival over the
-    whole lattice; the targets are gathered from it at the end. That is one
-    gather per lattice point and infected plant, against three per pair in
-    the block read, so it pays where about half the points or more are
-    targets. Every target gets the same factors in the same order, so the
-    bits are the block read's."""
-    factors, ix, iy = table
-    nx, ny = ix.shape[0], iy.shape[0]
-    survival = np.ones((nx, ny))
+    ix[r][:, None] + iy[c][None, :] into the second work array and
+    multiplied into the lattice survival in the first; the targets are
+    gathered from it into the second at the end. That is one gather per
+    lattice point and infected plant, against three per pair in the block
+    read, so it pays where about half the points or more are targets.
+    Every target gets the same factors in the same order, so the bits are
+    the block read's."""
+    factors, ix, iy = kernel.table
+    survival, gathered = kernel.work
+    nx, ny = survival.shape
+    survival.fill(1.0)
+    row = gathered.reshape(nx, ny)
     index = np.empty((nx, ny), dtype=np.intp)  # take would convert int32 each call
-    row = np.empty((nx, ny))
     source_x, source_y = np.divmod(infected, ny)
     for r, c in zip(source_x.tolist(), source_y.tolist()):
         np.add(ix[r][:, None], iy[c][None, :], out=index)
@@ -409,7 +410,8 @@ def _lattice_table_survival(table, targets: np.ndarray, infected: np.ndarray) ->
         # changes none; it spares the buffer mode="raise" puts `out` through.
         factors.take(index, out=row, mode="clip")
         np.multiply(survival, row, out=survival)
-    return survival.reshape(-1).take(targets)
+    # Clipped as in `_window_survival`.
+    return survival.reshape(-1).take(targets, out=gathered[: targets.size], mode="clip")
 
 
 # When a round takes the offset-table window path. A window costs about
@@ -417,17 +419,14 @@ def _lattice_table_survival(table, targets: np.ndarray, infected: np.ndarray) ->
 # susceptible target for np.hypot on one CPU (full-scale lattice, 2-vCPU
 # VM); they broke even at targets of 1/11 of the plants with 3 infected
 # plants and at 1/17 with 76, and 1/12 lies between. So a round needs at
-# least WINDOW_MIN plants, at least _WINDOW_TARGETS of them susceptible,
-# and a lattice with at most _WINDOW_EXCEPTIONS exceptions per plant,
-# counted before `_build_window` lists each once per pair of offset signs
-# (1,175 exceptions in 4,636 entries on the full-scale lattice at beta0 =
-# 0.003); every entry adds work to every window. Windows ran no faster
-# than np.hypot on lattices of 12,000 to 15,000 plants (`compare`'s, which
-# get a kernel table), hence WINDOW_MIN.
+# least _WINDOW_TARGETS of the plants susceptible, and a lattice with at
+# most _WINDOW_EXCEPTIONS exceptions per plant, counted before
+# `_build_window` lists each once per pair of offset signs (1,175
+# exceptions in 4,636 entries on the full-scale lattice at beta0 =
+# 0.003); every entry adds work to every window.
 # Listing the gaps of an axis of n points takes n**2 / 2 subtractions, so
 # a lattice farther than about _WINDOW_ASPECT : 1 from square (a 2 x 10**7
 # strip) gets no offset table.
-WINDOW_MIN = 1 << 16
 _WINDOW_TARGETS = 1 / 12
 _WINDOW_EXCEPTIONS = 1 / 16
 _WINDOW_ASPECT = 16
@@ -526,28 +525,23 @@ def _build_window(xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
 _BAND = 1 << 16
 
 
-def _window_survival(window, targets: np.ndarray, infected: np.ndarray, work=None) -> np.ndarray:
-    """`_survival` by offset-table windows: a survival over the whole
-    lattice, and each infected plant's table window multiplied into it, in
-    ascending plant order. The lattice is cut into bands of rows, and each
-    band takes every plant's window rows before the next band starts.
+def _window_survival(kernel: _Kernel, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
+    """`_survival` by offset-table windows: the lattice survival in the
+    first work array, and each infected plant's table window multiplied
+    into it, in ascending plant order; the targets are gathered from it
+    into the second at the end. The lattice is cut into bands of rows, and
+    each band takes every plant's window rows before the next band starts.
     Within a band, the running products of the plant's exception targets
     in that band are saved just before its multiply and multiplied by
     their exact factors after, so every target's product has the factors
     and the order of the np.hypot path.
 
-    The lattice survival and the targets' survival gathered from it are
-    the two arrays of `work` when it is given, the work arrays that the
-    lattice's kernel state keeps from round to round (see `_Kernel`), and
-    fresh arrays when it is None. The result is then a view of `work`'s
-    second array, valid until the lattice's next round.
-
     The plants' exception targets are found once per plant; plants are
     taken in groups whose targets number about _BAND, so their memory stays
     bounded however many plants are infected."""
-    table, shift, exact, xv, yv, x_seen, y_seen = window
-    nx, ny = x_seen.shape[0], y_seen.shape[0]
-    survival, gathered = (np.empty((nx, ny)), None) if work is None else work
+    table, shift, exact, xv, yv, x_seen, y_seen = kernel.window
+    survival, gathered = kernel.work
+    nx, ny = survival.shape
     survival.fill(1.0)
     rows = max(1, _BAND // ny)
     edges = np.arange(rows, nx, rows) * ny  # the flat index of each later band
@@ -564,12 +558,10 @@ def _window_survival(window, targets: np.ndarray, infected: np.ndarray, work=Non
             _apply_windows(survival, rows, group)
             group, held = [], 0
     _apply_windows(survival, rows, group)
-    if gathered is not None:
-        gathered = gathered[: targets.size]
     # The targets are flatnonzero indices of the status array, all inside
     # the lattice, so clipping changes none of them; it spares the
     # temporary that the default mode="raise" buffers `out` through.
-    return survival.reshape(-1).take(targets, out=gathered, mode="clip")
+    return survival.reshape(-1).take(targets, out=gathered[: targets.size], mode="clip")
 
 
 def _apply_windows(survival: np.ndarray, rows: int, group: list) -> None:
@@ -649,11 +641,7 @@ def _draw_infections(
         return susceptible
     cutoff = params.beta0 / epsilon_p if epsilon_p > 0 else math.inf
     work = _kernel(grid, params.beta0, cutoff).work
-    survival = _survival(grid, susceptible, infected, params.beta0, cutoff, work)
-    # A window round has gathered its survival out of the lattice array
-    # into the other work array, so its draws can overwrite the lattice
-    # array; other rounds leave both untouched and draw into a fresh array.
-    draws = work[0].reshape(-1) if work is not None and survival.base is work[1] else None
+    survival = _survival(grid, susceptible, infected, params.beta0, cutoff)
     at_risk = survival < 1.0
     # The candidates stay ascending: that fixes the draw order. Rebinding
     # the names frees the full-length arrays (a fresh survival's too) when
@@ -664,10 +652,10 @@ def _draw_infections(
     if susceptible.size == 0:
         return susceptible
     np.subtract(1.0, survival, out=survival)  # the infection probabilities
-    if draws is None:
-        draws = rng.random(susceptible.size)
-    else:
-        draws = rng.random(out=draws[: susceptible.size])
+    # A read of the whole lattice has gathered its survival out of the
+    # first work array, and no other read writes to it, so the draws can.
+    out = None if work is None else work[0].reshape(-1)[: susceptible.size]
+    draws = rng.random(susceptible.size, out=out)
     return susceptible[draws < survival]
 
 

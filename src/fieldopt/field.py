@@ -32,11 +32,12 @@ _SNAP = 1e-9
 # about 54 bytes per plant at its peak: 5 for the plant states and 48 for
 # the np.hypot kernel's work arrays over the susceptible plants, plus a
 # 1-byte mask when the cutoff truncates (see the README). This caps one
-# season near 1.1 GB. The offset-table path keeps about 19 bytes of table
-# per plant and 16 of work arrays, resident from one round to the next,
-# and adds 8 per round for the susceptible indices; the small-lattice
-# kernel table keeps fewer bytes per susceptible plant, plus at most
-# 1.75 MiB of table and block buffers, on lattices of at most 65,536
+# season near 1.1 GB. A lattice with either kernel table keeps 16 bytes
+# per plant of work arrays, resident from one round to the next. The
+# offset table adds about 19 bytes of table per plant, and a round 8 for
+# the susceptible indices; the small-lattice kernel table keeps fewer
+# bytes per susceptible plant, plus at most 2 MiB of factors, 1 MiB of
+# index maps and 256 KiB of block buffers, on lattices of at most 131,072
 # plants.
 MAX_PLANTS = 20_000_000
 

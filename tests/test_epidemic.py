@@ -470,6 +470,10 @@ def test_kernel_matches_reference_step(case):
     )
 
 
+# Gates under which no lattice gets a kernel table or an offset table, so
+# every round takes the np.hypot path.
+_NO_TABLES = {"TABLE_CAP": 0, "_WINDOW_ASPECT": 0}
+
 _step_cases = [
     (0.6, 1e-6, False, False),  # beta0 >= spacing: p = 1 pairs
     (0.003, 5e-4, False, True),  # cutoff 6 m < 8.49 m diagonal
@@ -492,10 +496,10 @@ def test_kernel_matches_reference_step_cases(
     grid = layout_grid(FieldSpec(6.0, 6.0), SeedingStrategy(0.5, 0.5))  # 169 plants
     assert (epsilon_p > 0 and beta0 / epsilon_p < grid.span_m) == truncates
     params = PathogenParams(beta0=beta0, gamma=0.2)
-    cap = epidemic.TABLE_CAP if path == "table" else 0  # 0: the np.hypot path
+    gates = {} if path == "table" else _NO_TABLES
     hypot = mock.Mock(wraps=epidemic._hypot_survival)
     with mock.patch.multiple(
-        epidemic, TABLE_CAP=cap, _kernel_cache=(None, None), _hypot_survival=hypot
+        epidemic, _kernel_cache=(None, None), _hypot_survival=hypot, **gates
     ):
         for seed in range(5):
             states = _random_states(grid.count, 3, seed)
@@ -694,7 +698,7 @@ def test_seasons_are_the_same_with_and_without_the_table(mode):
         with mock.patch.object(epidemic, "_hypot_survival", hypot):
             table = run(sc)
             assert hypot.call_count == 0  # every round read the table
-            with mock.patch.multiple(epidemic, TABLE_CAP=0, _kernel_cache=(None, None)):
+            with mock.patch.multiple(epidemic, _kernel_cache=(None, None), **_NO_TABLES):
                 loop = run(sc)
             assert hypot.call_count > 0
         assert table.trajectory == loop.trajectory
@@ -805,7 +809,7 @@ def test_seasons_are_the_same_with_both_table_reads(mode):
             table = run(sc)
             assert hypot.call_count == 0  # every round read the table
             assert 0 < lattice.call_count < reads.call_count  # both reads ran
-            with mock.patch.multiple(epidemic, TABLE_CAP=0, _kernel_cache=(None, None)):
+            with mock.patch.multiple(epidemic, _kernel_cache=(None, None), **_NO_TABLES):
                 loop = run(sc)
             assert hypot.call_count > 0
         assert table.trajectory == loop.trajectory
@@ -824,7 +828,6 @@ def _windows(exceptions=math.inf):
     with mock.patch.multiple(
         epidemic,
         TABLE_CAP=0,
-        WINDOW_MIN=0,
         _WINDOW_TARGETS=0.0,
         _WINDOW_EXCEPTIONS=exceptions,
         _WINDOW_ASPECT=math.inf,
@@ -944,11 +947,61 @@ def test_a_full_scale_round_takes_the_window_path(beta0, cutoff):
     states = _random_states(grid.count, 3, 0)
     susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
     infected = np.flatnonzero(states.status == Status.INFECTED)[::4000]  # 16 plants
-    assert grid.count >= epidemic.WINDOW_MIN
+    assert susceptible.size >= epidemic._WINDOW_TARGETS * grid.count
     with mock.patch.object(epidemic, "_hypot_survival", side_effect=AssertionError("hypot")):
         window = epidemic._survival(grid, susceptible, infected, beta0, cutoff)
     loop = epidemic._hypot_survival(grid, susceptible, infected, beta0, cutoff)
     assert np.array_equal(window, loop)
+
+
+# Lattices between the two tables: too many gaps for a kernel table, and
+# far smaller than the full-scale lattice: 251 x 251 and 501 x 51 plants.
+_between_tables = pytest.mark.parametrize(
+    "field, strategy",
+    [
+        (FieldSpec(25.0, 25.0), SeedingStrategy(0.1, 0.1)),
+        (FieldSpec(100.0, 10.0), SeedingStrategy(0.2, 0.2)),
+    ],
+    ids=["25m-0.1m", "100x10m-0.2m"],
+)
+
+
+@_between_tables
+def test_a_round_between_the_tables_takes_the_window_path(field, strategy):
+    grid = layout_grid(field, strategy)
+    states = _random_states(grid.count, 3, 0)
+    susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
+    infected = np.flatnonzero(states.status == Status.INFECTED)[::1000]
+    windows = mock.Mock(wraps=epidemic._window_survival)
+    with mock.patch.multiple(
+        epidemic,
+        _kernel_cache=(None, None),
+        _window_survival=windows,
+        _hypot_survival=mock.Mock(side_effect=AssertionError("hypot")),
+    ):
+        window = epidemic._survival(grid, susceptible, infected, 0.003, 3000.0)
+        assert epidemic._kernel(grid, 0.003, 3000.0).table is None
+    assert windows.call_count == 1
+    loop = epidemic._hypot_survival(grid, susceptible, infected, 0.003, 3000.0)
+    assert np.array_equal(window, loop)  # bit for bit
+
+
+@_between_tables
+def test_a_season_between_the_tables_is_the_same_without_windows(field, strategy):
+    scenario = _scenario(field=field, strategy=strategy, horizon_steps=2)
+    for seed in range(2):
+        sc = replace(scenario, rng_seed=seed)
+        hypot = mock.Mock(wraps=epidemic._hypot_survival)
+        windows = mock.Mock(wraps=epidemic._window_survival)
+        with mock.patch.multiple(epidemic, _hypot_survival=hypot, _window_survival=windows):
+            with mock.patch.object(epidemic, "_kernel_cache", (None, None)):
+                window = run(sc)
+            assert (hypot.call_count, windows.call_count) == (0, 1)
+            with mock.patch.multiple(epidemic, _kernel_cache=(None, None), _WINDOW_ASPECT=0):
+                loop = run(sc)
+            assert (hypot.call_count, windows.call_count) == (1, 1)
+        assert window.trajectory == loop.trajectory
+        assert repr(window.total_profit) == repr(loop.total_profit)
 
 
 def test_a_long_exception_list_falls_back_to_hypot():
@@ -962,7 +1015,8 @@ def test_a_long_exception_list_falls_back_to_hypot():
     hypot = mock.Mock(wraps=epidemic._hypot_survival)
     with _windows(exceptions=0.0), mock.patch.object(epidemic, "_hypot_survival", hypot):
         survival = epidemic._survival(grid, susceptible, infected, 0.3, math.inf)
-        assert epidemic._kernel(grid, 0.3, math.inf).window is None
+        state = epidemic._kernel(grid, 0.3, math.inf)
+        assert state.window is None and state.work is None
     assert hypot.call_count == 1
     assert np.array_equal(survival, epidemic._hypot_survival(grid, susceptible, infected, 0.3,
                                                               math.inf))
@@ -982,11 +1036,16 @@ def test_a_sparse_round_falls_back_to_hypot():
 
 
 def test_a_strip_lattice_builds_no_window_table():
-    strip = layout_grid(FieldSpec(0.2, 10.0), SeedingStrategy(0.2, 0.02))  # 2 x 501 plants
-    with mock.patch.object(
-        epidemic, "_build_window", side_effect=AssertionError("build")
-    ), mock.patch.object(epidemic, "_kernel_cache", (None, None)):
-        assert epidemic._kernel(strip, 0.003, math.inf).window is None
+    # 2 x 501 plants without its kernel table, and 2 x 5001 plants, too
+    # many gaps for one: only the shape rules the offset table out, and a
+    # lattice with neither table keeps no work arrays.
+    for height, gates in ((10.0, {"TABLE_CAP": 0}), (100.0, {})):
+        strip = layout_grid(FieldSpec(0.2, height), SeedingStrategy(0.2, 0.02))
+        with mock.patch.object(
+            epidemic, "_build_window", side_effect=AssertionError("build")
+        ), mock.patch.multiple(epidemic, _kernel_cache=(None, None), **gates):
+            state = epidemic._kernel(strip, 0.003, math.inf)
+            assert state.table is None and state.window is None and state.work is None
 
 
 def test_lattices_of_one_shape_get_their_own_window_tables():
@@ -997,8 +1056,6 @@ def test_lattices_of_one_shape_get_their_own_window_tables():
             grid = layout_grid(FieldSpec(2.0, 2.0 * spacing / 0.25),
                                SeedingStrategy(0.25, spacing))
             assert (grid.xs.size, grid.ys.size) == (9, 9)
-            # A window round builds the offset table.
-            epidemic._survival(grid, np.arange(grid.count), np.arange(1), 0.3, math.inf)
             tables.append(epidemic._kernel(grid, 0.3, math.inf).window[0].copy())
             _assert_window_matches_loop(grid, 0, 0.3, math.inf)
             del grid
@@ -1024,7 +1081,7 @@ def test_seasons_are_the_same_with_and_without_windows(mode):
                 window = run(sc)
             taken = windows.call_count
             assert hypot.call_count == 0 and taken > 0
-            with mock.patch.multiple(epidemic, TABLE_CAP=0, _kernel_cache=(None, None)):
+            with mock.patch.multiple(epidemic, _kernel_cache=(None, None), **_NO_TABLES):
                 loop = run(sc)
             assert hypot.call_count > 0 and windows.call_count == taken
         assert window.trajectory == loop.trajectory
@@ -1048,7 +1105,7 @@ def _assert_rounds_match_reference(grid, status, params, seed, rounds):
     round can have more susceptible plants than the one before), and after
     it the states and the RNG streams must agree bit for bit. No engine
     round may take the np.hypot path. Returns how many rounds took the
-    window path with the work arrays of the lattice's kernel state."""
+    window path with the lattice's kernel state."""
     fast, slow = PlantStates(grid.count), PlantStates(grid.count)
     fast.status[:] = slow.status[:] = status
     fast.infected_at[status != Status.SUSCEPTIBLE] = 1
@@ -1063,9 +1120,9 @@ def _assert_rounds_match_reference(grid, status, params, seed, rounds):
         with no_hypot, mock.patch.object(epidemic, "_window_survival", kept):
             step(grid, fast, params, fast_rng, t, epsilon_p=epsilon_p)
         if kept.call_count > calls:
-            arrays = epidemic._kernel_cache[1].work
-            assert kept.call_args.args[3] is arrays
-            assert arrays[0].shape == (grid.xs.size, grid.ys.size)
+            state = kept.call_args.args[0]
+            assert state is epidemic._kernel_cache[1]
+            assert state.work[0].shape == (grid.xs.size, grid.ys.size)
         with mock.patch.object(epidemic, "_draw_infections", _reference_draw_infections):
             step(grid, slow, params, slow_rng, t, epsilon_p=epsilon_p)
         assert np.array_equal(fast.status, slow.status)
@@ -1115,12 +1172,41 @@ def test_window_rounds_with_kept_arrays_match_the_reference(case):
     edits = {"none": lambda status, pick: None, "shrink": _shrink, "grow": _grow}
     rounds = [(edits[name], case["epsilon_p"]) for name in case["edits"]]
     with _windows():
-        # A caller that passes no work arrays gets a survival of its own,
-        # which later rounds do not overwrite.
+        # A window read returns a view of the state's gathered survival,
+        # which the next round of the lattice overwrites.
         held = epidemic._survival(grid, susceptible, infected, params.beta0, math.inf)
-        expected = held.copy()
+        assert held.base is epidemic._kernel(grid, params.beta0, math.inf).work[1]
         _assert_rounds_match_reference(grid, status, params, case["seed"], rounds)
-    assert np.array_equal(held, expected)
+
+
+@pytest.mark.parametrize("gates", [{}, {"TABLE_CAP": 0}], ids=["table", "window"])
+def test_both_lattice_reads_and_every_draw_use_the_kept_arrays(gates):
+    grid = layout_grid(FieldSpec(10.0, 10.0), SeedingStrategy(0.2, 0.2))  # 51 x 51
+    params = PathogenParams(beta0=0.003, gamma=0.2)  # few enough exceptions
+    name = "_window_survival" if gates else "_lattice_table_survival"
+    with mock.patch.multiple(epidemic, _kernel_cache=(None, None), **gates):
+        state = epidemic._kernel(grid, params.beta0, math.inf)
+        assert (state.table is None) == bool(gates) and (state.window is None) != bool(gates)
+        # Most plants targets (a read of the whole lattice), then one
+        # susceptible plant in 16 (the block read, or np.hypot).
+        for share, reads in ((1, 1), (16, 0)):
+            states = _random_states(grid.count, 1, share)
+            susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
+            states.status[susceptible[np.arange(susceptible.size) % share != 0]] = Status.REMOVED
+            susceptible = np.flatnonzero(states.status == Status.SUSCEPTIBLE)
+            infected = np.flatnonzero(states.status == Status.INFECTED)
+            read = mock.Mock(wraps=getattr(epidemic, name))
+            with mock.patch.object(epidemic, name, read):
+                survival = epidemic._survival(grid, susceptible, infected, params.beta0, math.inf)
+                assert (survival.base is state.work[1]) == bool(reads)
+                assert np.all(survival < 1.0)  # without a cutoff every plant is at risk
+                step(grid, states, params, np.random.default_rng(share), epsilon_p=0.0)
+            assert read.call_count == 2 * reads
+            assert epidemic._kernel_cache[1] is state
+            replay = np.random.default_rng(share)
+            replay.random(infected.size)  # the removal draws
+            draws = replay.random(susceptible.size)
+            assert np.array_equal(state.work[0].reshape(-1)[: susceptible.size], draws)
 
 
 def test_full_scale_kept_arrays_survive_a_change_of_lattice():
@@ -1162,7 +1248,6 @@ def test_full_scale_kept_arrays_survive_a_change_of_lattice():
     desk_gates = mock.patch.multiple(
         epidemic,
         TABLE_CAP=0,
-        WINDOW_MIN=0,
         _WINDOW_TARGETS=0.0,
         _WINDOW_EXCEPTIONS=math.inf,
         _WINDOW_ASPECT=math.inf,
@@ -1205,16 +1290,18 @@ def test_a_kernel_state_lives_until_another_lattice_or_pathogen_runs():
         return epidemic._kernel_cache[1]
 
     with mock.patch.object(epidemic, "_kernel_cache", (None, None)):
-        # A sparse round takes np.hypot and builds no offset table; the
-        # lattice's first window round builds it.
-        assert round_on(full, 0.003, share=16).window is False
-        state = round_on(full, 0.003)
+        # The offset table is built with the state, so even a sparse round,
+        # which takes np.hypot, finds it there; a window round keeps it.
+        state = round_on(full, 0.003, share=16)
         assert state.table is None and isinstance(state.window, tuple)
+        assert round_on(full, 0.003) is state
         released = [weakref.ref(a) for a in (state.window[0], *state.work)]
         del state
-        # A desk round frees the full-scale offset table and work arrays.
+        # A desk round frees the full-scale offset table and work arrays,
+        # and its state has a kernel table and work arrays of its own.
         state = round_on(desk, 0.3)
-        assert state.table is not None and state.window is None and state.work is None
+        assert state.table is not None and state.window is None
+        assert [a.shape for a in state.work] == [(51, 51), (51 * 51,)]
         assert [ref() for ref in released] == [None, None, None]
 
         # The full-scale lattice at a second beta0 gets a state of its own.
@@ -1317,8 +1404,8 @@ def _assert_same_season(a, b):
 def test_a_batched_season_is_the_single_season_of_its_seed(case):
     scenario = _batch_scenario(case)
     options = {"deterministic_duration": case["deterministic_duration"]}
-    cap = epidemic.TABLE_CAP if case["table"] else 0  # 0: the np.hypot path
-    with mock.patch.multiple(epidemic, TABLE_CAP=cap, _kernel_cache=(None, None)):
+    gates = {} if case["table"] else _NO_TABLES
+    with mock.patch.multiple(epidemic, _kernel_cache=(None, None), **gates):
         batch = epidemic.run_batch(scenario, case["seeds"], **options)
         singles = [run(replace(scenario, rng_seed=seed), **options) for seed in case["seeds"]]
     assert len(batch) == len(singles)
