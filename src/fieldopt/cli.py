@@ -3,7 +3,8 @@
 
 Exit codes: 0 success, 1 validation or usage error, 2 I/O error. The seed
 is taken from --seed, else the FIELDOPT_SEED environment variable, else
-the scenario's rng_seed. simulate and optimize default to the built-in
+the scenario's rng_seed, and set as the loaded scenario's rng_seed (the
+experiments' master seed). simulate and optimize default to the built-in
 default scenario (100 m field); the experiment subcommands default to
 its 10 m desk-scale variant so they finish in CI time. Each experiment
 subcommand builds one ExperimentSpec and runs it with
@@ -131,7 +132,9 @@ def _load(args, default_factory):
         if not sep:
             raise ScenarioParseError(f"override must be SECTION.KEY=VALUE, got {item!r}")
         overrides[key.strip()] = value.strip()
-    return apply_overrides(scenario, overrides) if overrides else scenario
+    if overrides:
+        scenario = apply_overrides(scenario, overrides)
+    return replace(scenario, rng_seed=_resolve_seed(args, scenario))
 
 
 def _resolve_seed(args, scenario) -> int:
@@ -147,9 +150,7 @@ def _resolve_seed(args, scenario) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _load(args, scenario_default)
-    scenario = replace(scenario, rng_seed=_resolve_seed(args, scenario))
-    result = run(scenario)
+    result = run(_load(args, scenario_default))
     final_removed = result.trajectory.r_count[-1]
     plants = result.trajectory.n_t[0]
     print(
@@ -187,7 +188,6 @@ def _cmd_optimize(args) -> int:
         delta=args.delta,
         budget=args.budget,
         n_reps=args.reps,
-        base_seed=_resolve_seed(args, scenario),
     )
     if args.out_dir:
         write_csv_lines(
@@ -217,7 +217,7 @@ def _cmd_experiment(args) -> int:
     if args.kind is ExperimentKind.OPTIMAL_COMPARISON and args.replicates is not None:
         given["comparison_reps"] = args.replicates  # compare --reps sets both
     # args.scenario is the --scenario path; the spec takes the loaded one.
-    given.update(scenario=scenario, master_seed=_resolve_seed(args, scenario))
+    given.update(scenario=scenario, master_seed=scenario.rng_seed)
     spec = ExperimentSpec(**given)
     out = run_experiment(spec)
     rows = out[0] if isinstance(out, tuple) else out

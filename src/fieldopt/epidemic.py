@@ -326,13 +326,13 @@ def _axis_gaps(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, index.reshape(gaps.shape).astype(np.int32)
 
 
-def _pair_factors(gx, gy, beta0: float, cutoff: float, out=None) -> np.ndarray:
+def _pair_factors(gx, gy, beta0: float, cutoff: float) -> np.ndarray:
     """1 - min(1, beta0 / hypot(gx, gy)) over broadcast gaps, with the pair
     probability set to 0 beyond the cutoff: the float operations of
     `_hypot_survival`, in its order, on the same operands up to sign
     (np.hypot ignores the signs of its arguments), so each entry has the
     bits that path computes for every pair with those gaps."""
-    d = np.hypot(gx, gy, out=out)
+    d = np.hypot(gx, gy)
     far = d > cutoff
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero gap pair: beta0 / 0
         np.divide(beta0, d, out=d)

@@ -36,9 +36,11 @@ _SNAP = 1e-9
 # per plant of work arrays, resident from one round to the next. The
 # offset table adds about 19 bytes of table per plant, and a round 8 for
 # the susceptible indices; the small-lattice kernel table keeps fewer
-# bytes per susceptible plant, plus at most 2 MiB of factors, 1 MiB of
-# index maps and 256 KiB of block buffers, on lattices of at most 131,072
-# plants.
+# bytes per susceptible plant, plus at most 2 MiB of factors and 1 MiB of
+# index maps, on lattices of at most 131,072 plants. Its two reads
+# allocate per call and keep nothing: the block read up to 256 KiB of
+# block buffers, the per-plant read an nx x ny intp index each round
+# (8 bytes per lattice point).
 MAX_PLANTS = 20_000_000
 
 

@@ -403,20 +403,17 @@ def _comparison_instance(spec: ExperimentSpec, index: int) -> dict:
         field=replace(spec.scenario.field, width_m=width, height_m=height),
         pathogen=replace(spec.scenario.pathogen, beta0=beta0, gamma=gamma),
         explicit_count=None,
+        # Seeds the arms; the analytic grid search draws nothing.
+        rng_seed=derive_seed(spec.master_seed, "comparison", index, "arms"),
     )
     best = optimize(
-        scenario,
-        search=SearchMethod.GRID,
-        mode=ScoreMode.ANALYTIC,
-        delta=spec.optimizer_delta,
-        base_seed=derive_seed(spec.master_seed, "comparison", index, "opt"),
+        scenario, search=SearchMethod.GRID, mode=ScoreMode.ANALYTIC, delta=spec.optimizer_delta
     ).best_strategy
     comparison = compare_strategies(
         scenario,
         spec.default_strategy,
         best,
         spec.comparison_reps,
-        base_seed=derive_seed(spec.master_seed, "comparison", index, "arms"),
         allow_degenerate=True,
     )
     arm_rows = [

@@ -6,10 +6,10 @@ of the same box, at most MAX_CANDIDATES of them, and are kept as two
 arrays. Analytic scoring (closed-form worst-case profit) scores them all
 at once with `analytic_profits`, bit-identical to the scalar
 `analytic_profit`. Simulated scoring averages simulated seasons over
-paired replicate seeds, one candidate at a time. Seeds are derived per
-(candidate, replicate) with the package-wide stable hash, so results
-replay exactly and candidates could be evaluated concurrently without
-changing the outcome.
+paired replicate seeds, one candidate at a time. Seeds are derived from
+the scenario's rng_seed per (candidate, replicate) with the package-wide
+stable hash, so results replay exactly and candidates could be evaluated
+concurrently without changing the outcome.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def enumerate_candidates(field: FieldSpec, delta: float) -> list[SeedingStrategy
 
 
 def _candidates(
-    field: FieldSpec, search: SearchMethod, delta: float, budget: int, base_seed: int
+    field: FieldSpec, search: SearchMethod, delta: float, budget: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The candidate spacings as (dx, dy) arrays in search order: the grid
     of `enumerate_candidates`, or `budget` uniform draws from the box."""
@@ -168,7 +168,7 @@ def _candidates(
     _check_count(budget)
     if field.width_m < field.min_spacing_m or field.height_m < field.min_spacing_m:
         return np.empty(0), np.empty(0)
-    crng = np.random.default_rng(derive_seed(base_seed, "mc-candidates"))
+    crng = np.random.default_rng(derive_seed(seed, "mc-candidates"))
     dxs = crng.uniform(field.min_spacing_m, field.width_m, budget)
     dys = crng.uniform(field.min_spacing_m, field.height_m, budget)
     return dxs, dys
@@ -193,14 +193,15 @@ def evaluate_candidate(
     scenario: Scenario,
     mode: ScoreMode,
     n_reps: int = 30,
-    base_seed: int = 0,
+    *,
     candidate_index: int = 0,
 ) -> tuple[float, float]:
     """(profit estimate, std) for the scenario's strategy.
 
     Analytic scoring is exact (std 0). Simulated scoring averages n_reps
-    seasons run with seeds derive_seed(base_seed, candidate_index, i), a
-    stable hash, so any candidate/replicate cell can be replayed alone.
+    seasons run with seeds derive_seed(scenario.rng_seed, candidate_index,
+    i), a stable hash, so any candidate/replicate cell can be replayed
+    alone.
     """
     if mode is ScoreMode.ANALYTIC:
         profit = analytic_profit(
@@ -215,7 +216,7 @@ def evaluate_candidate(
         raise ValidationError("invariant violated: n_reps >= 1")
     profits = []
     for i in range(n_reps):
-        seed = derive_seed(base_seed, candidate_index, i)
+        seed = derive_seed(scenario.rng_seed, candidate_index, i)
         profits.append(run(replace(scenario, rng_seed=seed)).total_profit)
     return _mean_std(profits)
 
@@ -228,30 +229,26 @@ def optimize(
     delta: float = 0.05,
     budget: int = 500,
     n_reps: int = 30,
-    base_seed: int | None = None,
 ) -> OptimizationResult:
     """Maximize season profit over seeding spacings.
 
     Grid search enumerates the delta-stepped lattice; Monte Carlo draws
-    `budget` spacings uniformly from the continuous box. Either may hold
-    at most MAX_CANDIDATES candidates, and analytic scoring at most
-    MAX_CANDIDATE_ROUNDS candidates times horizon_steps. Any explicit
-    plant-count override on the scenario is dropped (the spacing under
-    test determines the population). The best candidate is the one `select_best` picks: ties
-    break toward the larger cell area dx*dy (sparser seeding), then
-    lexicographically. The densest candidate lattice (min_spacing in
-    both axes) must have a finite plant count, and every candidate a
-    finite profit.
+    `budget` spacings uniformly from the continuous box, seeded from
+    scenario.rng_seed. Either may hold at most MAX_CANDIDATES candidates,
+    and analytic scoring at most MAX_CANDIDATE_ROUNDS candidates times
+    horizon_steps. Any explicit plant-count override on the scenario is
+    dropped (the spacing under test determines the population). The best
+    candidate is the one `select_best` picks: ties break toward the larger
+    cell area dx*dy (sparser seeding), then lexicographically. The densest
+    candidate lattice (min_spacing in both axes) must have a finite plant
+    count, and every candidate a finite profit.
     """
     lo = scenario.field.min_spacing_m
     if not math.isfinite(lattice_size(scenario.field, lo, lo)):
         raise ValidationError(
             "invariant violated: densest candidate lattice has a finite plant count"
         )
-    base_seed = scenario.rng_seed if base_seed is None else base_seed
-    if not 0 <= base_seed < 2**64:
-        raise ValidationError("invariant violated: 0 <= base_seed < 2**64")
-    dx, dy = _candidates(scenario.field, search, delta, budget, base_seed)
+    dx, dy = _candidates(scenario.field, search, delta, budget, scenario.rng_seed)
     if not len(dx):
         raise ValidationError("infeasible: W or H below the minimal seeding distance")
 
@@ -284,8 +281,7 @@ def optimize(
                 replace(scenario, strategy=SeedingStrategy(x, y), explicit_count=None),
                 mode,
                 n_reps,
-                base_seed,
-                index,
+                candidate_index=index,
             )
             for index, (x, y) in enumerate(zip(dx.tolist(), dy.tolist()))
         ]
@@ -340,25 +336,22 @@ def compare_strategies(
     default_strategy: SeedingStrategy,
     optimal_strategy: SeedingStrategy,
     n_reps: int,
-    base_seed: int | None = None,
+    *,
     allow_degenerate: bool = False,
 ) -> StrategyComparison:
     """Paired comparison of two strategies under both placement modes.
 
-    Replicate i uses the same derived seed in all four arms (common random
-    numbers), so profit differences are paired. Each arm is one `run_batch`
-    of those seeds, so it lays out its lattice and places its worst-case
-    infections once. Reports per-arm mean/std of profit and mean R0, plus
+    Replicate i uses the same seed, derived from scenario.rng_seed, in all
+    four arms (common random numbers), so profit differences are paired.
+    Each arm is one `run_batch` of those seeds, so it lays out its lattice
+    and places its worst-case infections once. Reports per-arm mean/std of profit and mean R0, plus
     a paired two-sided t-test on profits per placement mode. Zero-variance
     differences raise unless allow_degenerate, which records None for that
     placement instead.
     """
     if n_reps < 2:
         raise ValidationError("invariant violated: n_reps >= 2")
-    base_seed = scenario.rng_seed if base_seed is None else base_seed
-    if not 0 <= base_seed < 2**64:
-        raise ValidationError("invariant violated: 0 <= base_seed < 2**64")
-    seeds = [derive_seed(base_seed, "compare", i) for i in range(n_reps)]
+    seeds = [derive_seed(scenario.rng_seed, "compare", i) for i in range(n_reps)]
 
     placements = (PlacementMode.RANDOM, PlacementMode.WORST_CASE)
     strategies = (("default", default_strategy), ("optimal", optimal_strategy))

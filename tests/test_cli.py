@@ -292,6 +292,42 @@ def test_csv_bytes_are_pinned(tmp_path, capsys):
     assert digests == _PINNED_SHA256
 
 
+# The sha256 of evaluations.csv from simulated searches, whose candidates
+# (Monte Carlo) and replicate seasons are drawn from the seed. Recorded
+# before the optimizer's seed parameter was folded into the scenario.
+_SIMULATED = [
+    "optimize", "--set", "field.width_m=1", "--set", "field.height_m=1", "--mode", "simulated",
+]
+_PINNED_SIMULATED = [
+    (["--search", "montecarlo", "--budget", "12", "--reps", "4", "--seed", "3"],
+     "edd25c3617deb4d9ab426145d241efd84ab2e3f898227c8c6c54b56fb252e255"),
+    (["--search", "montecarlo", "--budget", "12", "--reps", "4", "--seed", "11"],
+     "832541ac9d0d159622283897bd89bf735cf17a6f680926265f9e032c4bdc278a"),
+    (["--delta", "0.3", "--reps", "3", "--seed", "3"],
+     "bb8de86f750a2226d5245dc4a0c49593db4d243b4cb88b89291afa71a8c0dde5"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _PINNED_SIMULATED)
+def test_simulated_search_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    assert main([*_SIMULATED, *argv, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "evaluations.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize(
+    "command", ["simulate", "optimize", "baseline", "sweep-pathogen", "sweep-econ", "compare"]
+)
+def test_a_seed_outside_64_bits_exits_1_naming_rng_seed(monkeypatch, capsys, command, seed):
+    monkeypatch.delenv("FIELDOPT_SEED", raising=False)
+    assert main([command, "--seed", seed]) == 1
+    assert "rng_seed" in capsys.readouterr().err
+    monkeypatch.setenv("FIELDOPT_SEED", seed)
+    assert main([command]) == 1
+    assert "rng_seed" in capsys.readouterr().err
+
+
 def test_evaluations_csv_is_streamed_from_the_columns(tmp_path):
     base = scenario_default()
     scenario = replace(base, field=replace(base.field, width_m=1.0, height_m=0.7))
@@ -347,6 +383,24 @@ def test_readme_has_examples_of_every_subcommand():
     assert commands == {
         "simulate", "optimize", "baseline", "sweep-pathogen", "sweep-econ", "compare"
     }
+
+
+def test_readme_python_quick_start():
+    """Runs the README's python block; each print with a trailing
+    `# value` comment must print that value, at the comment's precision."""
+    code = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in code.splitlines() if line.startswith("print(")]
+    printed = []
+    exec(code, {"print": lambda *values: printed.append(values)})
+    assert len(printed) == len(lines)
+    checked = 0
+    for line, values in zip(lines, printed):
+        if "#" in line:
+            value = line.rsplit("#", 1)[1].rsplit(":", 1)[-1].strip()
+            decimals = len(value.partition(".")[2])
+            assert f"{float(values[0]):.{decimals}f}" == value
+            checked += 1
+    assert checked == 3
 
 
 @pytest.mark.parametrize(

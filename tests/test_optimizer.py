@@ -130,12 +130,37 @@ def test_evaluate_candidate_analytic_is_exact():
 
 
 def test_evaluate_candidate_simulated_reproducible():
-    scenario = _scenario()
-    first = evaluate_candidate(scenario, ScoreMode.SIMULATED, n_reps=5, base_seed=3)
-    second = evaluate_candidate(scenario, ScoreMode.SIMULATED, n_reps=5, base_seed=3)
+    scenario = _scenario(rng_seed=3)
+    first = evaluate_candidate(scenario, ScoreMode.SIMULATED, n_reps=5)
+    second = evaluate_candidate(scenario, ScoreMode.SIMULATED, n_reps=5)
     assert first == second
-    other = evaluate_candidate(scenario, ScoreMode.SIMULATED, n_reps=5, base_seed=4)
+    other = evaluate_candidate(replace(scenario, rng_seed=4), ScoreMode.SIMULATED, n_reps=5)
     assert first != other
+
+
+def test_evaluate_candidate_follows_the_scenario_seed():
+    # With default arguments the replicates are the seasons of
+    # derive_seed(scenario.rng_seed, 0, i), not of a fixed seed 0.
+    scenario = _scenario(
+        pathogen=PathogenParams(beta0=0.05, gamma=0.2, initial_infected=2), rng_seed=7
+    )
+    profits = [
+        run(replace(scenario, rng_seed=derive_seed(7, 0, i))).total_profit for i in range(30)
+    ]
+    mean, std = evaluate_candidate(scenario, ScoreMode.SIMULATED)
+    assert (mean, std) == optimizer._mean_std(profits)
+    assert (mean, std) != evaluate_candidate(replace(scenario, rng_seed=0), ScoreMode.SIMULATED)
+
+
+def test_seed_channels_are_keyword_only():
+    # A seed passed by position after n_reps is refused, not taken as the
+    # candidate index or the degenerate-case flag.
+    scenario = _scenario()
+    strategy = SeedingStrategy(0.25, 0.25)
+    with pytest.raises(TypeError):
+        evaluate_candidate(scenario, ScoreMode.SIMULATED, 2, 5)
+    with pytest.raises(TypeError):
+        compare_strategies(scenario, strategy, strategy, 2, 5)
 
 
 def test_evaluate_candidate_single_rep_std_zero():
@@ -176,7 +201,9 @@ def test_evaluate_candidate_simulated_converges_to_enumeration():
     p = 0.003 / 0.2
     expected = _two_plant_expected_profit(p, gamma, scenario.economics)
     n_reps = 4000
-    mean, std = evaluate_candidate(scenario, ScoreMode.SIMULATED, n_reps=n_reps, base_seed=2)
+    mean, std = evaluate_candidate(
+        replace(scenario, rng_seed=2), ScoreMode.SIMULATED, n_reps=n_reps
+    )
     assert mean == pytest.approx(expected, abs=4 * std / math.sqrt(n_reps))
 
 
@@ -219,13 +246,12 @@ def test_optimize_no_transmission_prefers_densest_lattice():
 
 
 def test_optimize_montecarlo_within_box_and_reproducible():
-    scenario = _scenario()
+    scenario = _scenario(rng_seed=5)
     result = optimize(
         scenario,
         search=SearchMethod.MONTE_CARLO,
         mode=ScoreMode.ANALYTIC,
         budget=40,
-        base_seed=5,
     )
     assert len(result.evaluations) == 40
     for e in result.evaluations:
@@ -236,7 +262,6 @@ def test_optimize_montecarlo_within_box_and_reproducible():
         search=SearchMethod.MONTE_CARLO,
         mode=ScoreMode.ANALYTIC,
         budget=40,
-        base_seed=5,
     )
     assert again == result
 
@@ -247,32 +272,16 @@ def test_optimize_infeasible_field_errors():
         optimize(scenario, search=SearchMethod.GRID, mode=ScoreMode.ANALYTIC, delta=0.1)
 
 
-@pytest.mark.parametrize("base_seed", [-1, 2**64])
-def test_optimize_rejects_a_base_seed_outside_64_bits(base_seed):
-    scenario = _scenario()
-    for search in SearchMethod:
-        with pytest.raises(ValidationError, match="base_seed"):
-            optimize(scenario, search=search, mode=ScoreMode.SIMULATED, base_seed=base_seed)
-
-
-@pytest.mark.parametrize("base_seed", [-1, 2**64])
-def test_compare_strategies_rejects_a_base_seed_outside_64_bits(base_seed):
-    strategy = SeedingStrategy(dx_m=0.25, dy_m=0.25)
-    with pytest.raises(ValidationError, match="base_seed"):
-        compare_strategies(_scenario(), strategy, strategy, n_reps=2, base_seed=base_seed)
-
-
 def test_optimize_simulated_mode_drops_explicit_count():
     # 30 exceeds the capacity of the sparser candidates, so keeping the
     # override would fail scenario validation during the search
-    scenario = _scenario(explicit_count=30)
+    scenario = _scenario(explicit_count=30, rng_seed=1)
     result = optimize(
         scenario,
         search=SearchMethod.GRID,
         mode=ScoreMode.SIMULATED,
         delta=0.3,
         n_reps=2,
-        base_seed=1,
     )
     assert result.best_profit == max(e.profit_estimate for e in result.evaluations)
 
@@ -314,8 +323,8 @@ def _scalar_optimize(scenario, candidates):
     return evaluations, select_best(evaluations)
 
 
-def _mc_candidates(field, budget, base_seed):
-    crng = np.random.default_rng(derive_seed(base_seed, "mc-candidates"))
+def _mc_candidates(field, budget, seed):
+    crng = np.random.default_rng(derive_seed(seed, "mc-candidates"))
     dxs = crng.uniform(field.min_spacing_m, field.width_m, budget)
     dys = crng.uniform(field.min_spacing_m, field.height_m, budget)
     return [SeedingStrategy(float(x), float(y)) for x, y in zip(dxs, dys)]
@@ -339,24 +348,23 @@ def _assert_matches_scalar(scenario, result, candidates):
     horizon=st.integers(2, 6),
     grid=st.booleans(),
     budget=st.integers(1, 300),
-    base_seed=st.integers(0, 2**32),
+    seed=st.integers(0, 2**32),
 )
 def test_batched_analytic_scores_equal_scalar_path(
-    width, height, delta, beta0, gamma, k, horizon, grid, budget, base_seed
+    width, height, delta, beta0, gamma, k, horizon, grid, budget, seed
 ):
     scenario = _scenario(
         field=FieldSpec(width_m=width, height_m=height),
         pathogen=PathogenParams(beta0=beta0, gamma=gamma, initial_infected=k),
         horizon_steps=horizon,
+        rng_seed=seed,
     )
     if grid:
         result = optimize(scenario, search=SearchMethod.GRID, delta=delta)
         candidates = enumerate_candidates(scenario.field, delta)
     else:
-        result = optimize(
-            scenario, search=SearchMethod.MONTE_CARLO, budget=budget, base_seed=base_seed
-        )
-        candidates = _mc_candidates(scenario.field, budget, base_seed)
+        result = optimize(scenario, search=SearchMethod.MONTE_CARLO, budget=budget)
+        candidates = _mc_candidates(scenario.field, budget, seed)
     _assert_matches_scalar(scenario, result, candidates)
 
 
@@ -516,13 +524,12 @@ def test_grid_just_below_the_cap_is_allowed():
 
 
 def test_compare_strategies_pairs_seeds_across_arms():
-    scenario = _scenario(field=FieldSpec(2.0, 2.0))
+    scenario = _scenario(field=FieldSpec(2.0, 2.0), rng_seed=9)
     comparison = compare_strategies(
         scenario,
         default_strategy=SeedingStrategy(0.2, 0.2),
         optimal_strategy=SeedingStrategy(0.3, 0.3),
         n_reps=6,
-        base_seed=9,
     )
     assert len(comparison.arms) == 4
     labels = {(a.placement, a.label) for a in comparison.arms}
@@ -538,7 +545,6 @@ def test_compare_strategies_pairs_seeds_across_arms():
         default_strategy=SeedingStrategy(0.2, 0.2),
         optimal_strategy=SeedingStrategy(0.3, 0.3),
         n_reps=6,
-        base_seed=9,
     )
     assert again.arms == comparison.arms
     for placement in (PlacementMode.RANDOM, PlacementMode.WORST_CASE):
@@ -550,7 +556,6 @@ def test_compare_strategies_pairs_seeds_across_arms():
         default_strategy=SeedingStrategy(0.3, 0.3),
         optimal_strategy=SeedingStrategy(0.2, 0.2),
         n_reps=6,
-        base_seed=9,
     )
     by_key = {(a.placement, a.label): a for a in comparison.arms}
     mirrored_by_key = {(a.placement, a.label): a for a in mirrored.arms}
@@ -568,7 +573,7 @@ def test_compare_strategies_arms_are_seasons_of_run():
         horizon_steps=4,
     )
     default, optimal = SeedingStrategy(0.2, 0.2), SeedingStrategy(0.3, 0.25)
-    comparison = compare_strategies(scenario, default, optimal, n_reps=4, base_seed=5)
+    comparison = compare_strategies(replace(scenario, rng_seed=5), default, optimal, n_reps=4)
     seeds = [derive_seed(5, "compare", i) for i in range(4)]
     expected = [
         (placement, label, strategy)
@@ -606,7 +611,6 @@ def test_compare_strategies_degenerate_differences():
         default_strategy=SeedingStrategy(0.2, 0.2),
         optimal_strategy=SeedingStrategy(0.3, 0.3),
         n_reps=3,
-        base_seed=0,
     )
     with pytest.raises(ValidationError, match="variance"):
         compare_strategies(scenario, **kwargs)

@@ -62,6 +62,7 @@ def test_defaults_match_documented_parameterization():
         lambda: Scenario(horizon_steps=1),
         lambda: Scenario(rng_seed=-1),
         lambda: Scenario(explicit_count=0),
+        lambda: Scenario(rng_seed=2**64),
     ],
 )
 def test_invariant_rejections(build):
