@@ -4,14 +4,12 @@ season economics, worst-case analytic bounds, and spacing search."""
 
 from .analytics import (
     R0Series,
-    ReplicateSummary,
     SensitivityFit,
     TTestResult,
     fit_plane,
     paired_t_test,
     r0_series,
     regularized_incomplete_beta,
-    summarize_replicates,
 )
 from .economics import (
     EconomicSeries,
@@ -24,11 +22,9 @@ from .economics import (
 )
 from .epidemic import (
     EpidemicTrajectory,
-    PlantState,
     PlantStates,
     SimulationResult,
     Status,
-    pairwise_infection_prob,
     place_initial_infected,
     run,
     run_batch,
@@ -41,7 +37,6 @@ from .field import (
     lattice_capacity,
     lattice_shape,
     layout_grid,
-    neighbors_within,
     spacing_from_count,
 )
 from .harness import (

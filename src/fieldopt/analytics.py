@@ -195,13 +195,6 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     return TTestResult(t_statistic=t_stat, dof=dof, p_two_sided=p)
 
 
-@dataclass(frozen=True)
-class ReplicateSummary:
-    mean: float
-    std: float
-    count: int
-
-
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
     mean = sum_in_order(values) / n
@@ -209,16 +202,3 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
         return mean, 0.0
     var = sum_in_order((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)
-
-
-def summarize_replicates(results: Sequence) -> dict[str, ReplicateSummary]:
-    """Sample mean/std (n-1 denominator) of total_profit and mean_r0 over
-    a batch of simulation results; std is 0 for a single replicate."""
-    if not results:
-        raise ValidationError("invariant violated: at least one replicate")
-    summary = {}
-    for metric in ("total_profit", "mean_r0"):
-        values = [float(getattr(r, metric)) for r in results]
-        mean, std = _mean_std(values)
-        summary[metric] = ReplicateSummary(mean=mean, std=std, count=len(values))
-    return summary

@@ -77,7 +77,6 @@ class EconomicSeries:
 def economic_series(
     n_t: Sequence[float],
     econ: EconomicParams,
-    n_initial: float | None = None,
     died_early: bool = False,
 ) -> EconomicSeries:
     """Piecewise season economics over the surviving-count series n_t.
@@ -87,16 +86,14 @@ def economic_series(
     round T earns sale revenue minus harvesting. Rounds where n_t < 1
     contribute 0 (nothing left to tend, harvest, or sell; also keeps the
     analytic route well defined when the removal bound exceeds N).
-    died_early models sub-minimum spacing: the seeding cost of the initial
-    population is lost and every later round outputs 0.
+    died_early models sub-minimum spacing: the seeding cost of the n_t[0]
+    plants sown is lost and every later round outputs 0.
     """
     t_final = len(n_t)
     _check_horizon(t_final)
-    if n_initial is None:
-        n_initial = n_t[0]
 
     if died_early:
-        outputs = [-seeding_cost(n_initial, econ)] + [0.0] * (t_final - 1)
+        outputs = [-seeding_cost(n_t[0], econ)] + [0.0] * (t_final - 1)
         return EconomicSeries(tuple(outputs), sum_in_order(outputs))
 
     outputs = [

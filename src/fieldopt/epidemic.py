@@ -84,15 +84,6 @@ class Status(enum.IntEnum):
 _SUSCEPTIBLE, _INFECTED, _REMOVED = (int(s) for s in Status)
 
 
-@dataclass(frozen=True)
-class PlantState:
-    """Per-plant view: epidemiological status and the round of infection
-    (set exactly when the plant has ever been infected)."""
-
-    status: Status
-    infected_at: int | None
-
-
 class PlantStates:
     """Mutable state arrays for the whole population."""
 
@@ -116,13 +107,6 @@ class PlantStates:
     def counts(self) -> tuple[int, int, int]:
         c = np.bincount(self.status, minlength=3)
         return int(c[_SUSCEPTIBLE]), int(c[_INFECTED]), int(c[_REMOVED])
-
-    def plant(self, index: int) -> PlantState:
-        at = int(self.infected_at[index])
-        return PlantState(
-            status=Status(int(self.status[index])),
-            infected_at=at if at >= 0 else None,
-        )
 
     def copy(self) -> "PlantStates":
         dup = PlantStates.__new__(PlantStates)
@@ -165,11 +149,10 @@ class EpidemicTrajectory:
     s_count: tuple[int, ...]
     i_count: tuple[int, ...]
     r_count: tuple[int, ...]
-    n_t: tuple[int, ...]
 
     def __post_init__(self):
         total = self.s_count[0] + self.i_count[0] + self.r_count[0]
-        series = (self.s_count, self.i_count, self.r_count, self.n_t)
+        series = (self.s_count, self.i_count, self.r_count)
         if len({len(s) for s in series}) != 1:
             raise ValidationError("invariant violated: equal series lengths")
         for t in range(len(self.s_count)):
@@ -177,8 +160,12 @@ class EpidemicTrajectory:
                 raise ValidationError("invariant violated: S+I+R constant")
             if t and self.r_count[t] < self.r_count[t - 1]:
                 raise ValidationError("invariant violated: R non-decreasing")
-            if self.n_t[t] != total - self.r_count[t]:
-                raise ValidationError("invariant violated: n_t == N - R(t)")
+
+    @property
+    def n_t(self) -> tuple[int, ...]:
+        """N - R(t): the plants not yet removed in each round."""
+        total = self.s_count[0] + self.i_count[0] + self.r_count[0]
+        return tuple(total - r for r in self.r_count)
 
 
 @dataclass(frozen=True)
@@ -199,18 +186,6 @@ class SimulationResult:
     @property
     def mean_r0(self) -> float:
         return self.r0.mean_r0
-
-
-def pairwise_infection_prob(beta0: float, distance_m: float) -> float:
-    """Infection probability between one infected/susceptible pair,
-    min(1, beta0 / distance)."""
-    if not 0.0 <= beta0 <= 1.0:
-        raise ValidationError("invariant violated: 0 <= beta0 <= 1")
-    if distance_m <= 0:
-        raise ValidationError(
-            "invariant violated: distance_m > 0 (co-located plants are a layout bug)"
-        )
-    return min(1.0, beta0 / distance_m)
 
 
 def place_initial_infected(
@@ -700,13 +675,10 @@ def _died_early_result(scenario: Scenario, n: int) -> SimulationResult:
         s_count=(n,) + (0,) * (horizon - 1),
         i_count=(0,) * horizon,
         r_count=(0,) + (n,) * (horizon - 1),
-        n_t=(n,) + (0,) * (horizon - 1),
     )
     return SimulationResult(
         trajectory=trajectory,
-        economics=economic_series(
-            trajectory.n_t, scenario.economics, n_initial=n, died_early=True
-        ),
+        economics=economic_series(trajectory.n_t, scenario.economics, died_early=True),
         r0=r0_series(trajectory.i_count, trajectory.r_count),
         initial_infected=(),
         died_early=True,
@@ -795,7 +767,6 @@ def _season(
         s_count=tuple(s_list),
         i_count=tuple(i_list),
         r_count=tuple(r_list),
-        n_t=tuple(grid.count - r for r in r_list),
     )
     return SimulationResult(
         trajectory=trajectory,

@@ -7,11 +7,11 @@ x index outermost. Both boundary rows are included (a plant at coordinate
 
 There is no spatial index. At the paper's parameters the infection cutoff
 beta0 / epsilon_p is 3 km, far beyond any field diagonal, so an index
-would prune nothing. `neighbors_within` scans all positions and filters
-by exact Euclidean distance; it is the test oracle for the engine's
-infection kernel. A grid is its lattice axes: the engine builds its kernel
-tables from the axis gaps, and the (count, 2) positions array, 16 B per
-plant, is built only when a caller asks for it.
+would prune nothing. `PlantGrid.neighbor_arrays` scans all positions and
+filters by exact Euclidean distance; it is the test oracle for the
+engine's infection kernel. A grid is its lattice axes: the engine builds
+its kernel tables from the axis gaps, and the (count, 2) positions array,
+16 B per plant, is built only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -159,14 +159,3 @@ def spacing_from_count(field: FieldSpec, n: int) -> SeedingStrategy:
         dx_m=field.width_m / (side - 1),
         dy_m=field.height_m / (side - 1),
     )
-
-
-def neighbors_within(
-    grid: PlantGrid, index: int, radius_m: float
-) -> list[tuple[int, float]]:
-    """All plants at Euclidean distance <= radius_m from plant `index`,
-    excluding the plant itself, as (index, distance) sorted by index."""
-    if radius_m <= 0:
-        raise ValidationError("invariant violated: radius_m > 0")
-    idx, dist = grid.neighbor_arrays(index, radius_m)
-    return [(int(i), float(d)) for i, d in zip(idx, dist)]

@@ -34,7 +34,6 @@ from .optimizer import ScoreMode, SearchMethod, compare_strategies, optimize
 from .scenario import (
     EconomicParams,
     Scenario,
-    SeedingStrategy,
     ValidationError,
     scenario_default,
 )
@@ -101,7 +100,6 @@ class ExperimentSpec:
     gamma_range: tuple[float, float] = (1.0 / 65.0, 1.0 / 21.0)
     comparison_reps: int = 10
     optimizer_delta: float = 0.1
-    default_strategy: SeedingStrategy = dc_field(default_factory=SeedingStrategy)
 
     def __post_init__(self):
         checks = [
@@ -258,6 +256,11 @@ def run_pathogen_sweep(spec: ExperimentSpec) -> tuple[list[dict], dict]:
     response surface. Writes pathogen_sweep.csv and fits.csv.
     """
     scenario = spec.scenario
+    if len(set(spec.beta0_values)) < 2 or len(set(spec.gamma_values)) < 2:
+        raise ValidationError(
+            "invariant violated: beta0_values and gamma_values each hold at least"
+            " 2 distinct values (the plane fits need them)"
+        )
     base_cell = (scenario.pathogen.beta0, scenario.pathogen.gamma)
     cells = [(b, g) for b in spec.beta0_values for g in spec.gamma_values]
     if base_cell not in cells:
@@ -411,7 +414,7 @@ def _comparison_instance(spec: ExperimentSpec, index: int) -> dict:
     ).best_strategy
     comparison = compare_strategies(
         scenario,
-        spec.default_strategy,
+        scenario.strategy,
         best,
         spec.comparison_reps,
         allow_degenerate=True,
@@ -444,10 +447,10 @@ def run_optimal_comparison(spec: ExperimentSpec) -> tuple[list[dict], dict]:
 
     Per instance: draw (W, H, beta0, gamma) uniformly from the configured
     ranges, find the analytic-mode optimal spacing by grid search, then run
-    paired replicates of the default and optimal strategies under both
-    placement modes. Appends one paired t-test row per placement computed
-    over the per-instance mean profits (nan when degenerate). Writes
-    comparison.csv; data row count = instances * 4.
+    paired replicates of the default strategy (the scenario's spacing) and
+    the optimal one under both placement modes. Appends one paired t-test
+    row per placement computed over the per-instance mean profits (nan when
+    degenerate). Writes comparison.csv; data row count = instances * 4.
     """
     outcomes = _map_jobs(
         partial(_comparison_instance, spec), range(spec.instances), spec.jobs

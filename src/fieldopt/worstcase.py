@@ -204,10 +204,7 @@ def analytic_profit(
         return 0.0
     n = lattice_capacity(field, strategy)
     if strategy.dx_m < field.min_spacing_m or strategy.dy_m < field.min_spacing_m:
-        series = economic_series(
-            [float(n)] * horizon, econ, n_initial=n, died_early=True
-        )
-        return series.total_profit
+        return economic_series([float(n)] * horizon, econ, died_early=True).total_profit
     bound = worstcase_bound(n, pathogen, strategy, horizon)
     return economic_series(bound.n_t_series, econ).total_profit
 

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +13,8 @@ from fieldopt import (
     paired_t_test,
     r0_series,
     regularized_incomplete_beta,
-    summarize_replicates,
 )
-from fieldopt.analytics import sum_in_order
+from fieldopt.analytics import _mean_std, sum_in_order
 
 
 def test_r0_series_examples():
@@ -163,29 +161,12 @@ def test_incomplete_beta_bounds():
     assert regularized_incomplete_beta(2.0, 0.5, 1.0) == 1.0
 
 
-# -- replicate summaries ------------------------------------------------------
+# -- replicate mean and standard deviation ------------------------------------
 
 
-def _result(profit, r0):
-    return SimpleNamespace(total_profit=profit, mean_r0=r0)
-
-
-def test_summarize_replicates():
-    summary = summarize_replicates([_result(10.0, 1.0), _result(14.0, 3.0)])
-    assert summary["total_profit"].mean == pytest.approx(12.0)
-    assert summary["total_profit"].std == pytest.approx(math.sqrt(8.0))
-    assert summary["mean_r0"].mean == pytest.approx(2.0)
-    assert summary["total_profit"].count == 2
-
-
-def test_summarize_single_replicate_has_zero_std():
-    summary = summarize_replicates([_result(5.0, 0.5)])
-    assert summary["total_profit"].std == 0.0
-
-
-def test_summarize_requires_results():
-    with pytest.raises(ValidationError):
-        summarize_replicates([])
+def test_mean_std_uses_the_sample_deviation():
+    assert _mean_std([10.0, 14.0]) == (12.0, math.sqrt(8.0))  # n - 1 denominator
+    assert _mean_std([5.0]) == (5.0, 0.0)  # one replicate has no spread
 
 
 def test_sum_in_order_adds_left_to_right():

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import math
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fieldopt import optimize, write_scenario, scenario_default
-from fieldopt import cli
+from fieldopt import cli, harness
 from fieldopt.cli import _evaluation_line, _evaluation_lines, main
 from fieldopt.harness import _fmt, _write_csv, write_csv_lines
 
@@ -209,6 +210,41 @@ def test_compare_command(tmp_path, capsys):
     assert "comparison.csv" in capsys.readouterr().out
     lines = (tmp_path / "comparison.csv").read_text().splitlines()
     assert len(lines) == 1 + 4 + 2  # header, one instance x 4 arms, 2 summaries
+
+
+def test_compare_default_arm_is_the_scenarios_spacing(tmp_path, capsys):
+    code = main(
+        [
+            "compare",
+            "--instances", "1",
+            "--reps", "2",
+            "--delta", "1",
+            "--set", "strategy.dx_m=0.3",
+            "--set", "strategy.dy_m=0.3",
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    with open(tmp_path / "comparison.csv", newline="") as f:
+        rows = [row for row in csv.DictReader(f) if row["arm"] == "default"]
+    assert len(rows) == 2  # one per placement
+    assert all((row["dx_m"], row["dy_m"]) == ("0.3", "0.3") for row in rows)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [["--beta0-values", "0.003"], ["--beta0-values", "0.003", "--gamma-values", "1/42"]],
+    ids=["one-beta0", "one-cell"],
+)
+def test_sweep_pathogen_needs_two_values_per_axis(monkeypatch, capsys, tmp_path, values):
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda scenario: calls.append(scenario))
+    assert main(["sweep-pathogen", *values, "--reps", "2", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "beta0_values" in err and "gamma_values" in err
+    assert "Traceback" not in err
+    assert calls == []
 
 
 def test_jobs_flag_does_not_change_baseline(tmp_path, capsys):

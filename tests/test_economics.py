@@ -85,7 +85,7 @@ def test_series_wiped_out_rounds_contribute_zero():
 
 
 def test_series_died_early():
-    series = economic_series([400, 0, 0], ECON, n_initial=400, died_early=True)
+    series = economic_series([400, 0, 0], ECON, died_early=True)
     assert series.per_round_output == (-seeding_cost(400, ECON), 0.0, 0.0)
     assert series.total_profit == -seeding_cost(400, ECON)
 

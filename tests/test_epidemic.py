@@ -25,7 +25,6 @@ from fieldopt import (
     kcenter_greedy,
     lattice_capacity,
     layout_grid,
-    pairwise_infection_prob,
     place_initial_infected,
     run,
     seeding_cost,
@@ -45,22 +44,6 @@ def _scenario(**kwargs):
     )
     base.update(kwargs)
     return Scenario(**base)
-
-
-# -- pairwise probability -----------------------------------------------------
-
-
-def test_pairwise_probability():
-    assert pairwise_infection_prob(0.003, 0.2) == pytest.approx(0.015)
-    assert pairwise_infection_prob(0.0, 1.0) == 0.0
-    assert pairwise_infection_prob(0.5, 0.25) == 1.0  # capped
-
-
-def test_pairwise_probability_validation():
-    with pytest.raises(ValidationError):
-        pairwise_infection_prob(1.5, 0.2)
-    with pytest.raises(ValidationError):
-        pairwise_infection_prob(0.003, 0.0)
 
 
 # -- initial placement --------------------------------------------------------
@@ -176,16 +159,14 @@ def test_deterministic_duration_removes_after_sojourn():
     assert rng.bit_generator.state == before  # no draws in deterministic mode
 
 
-def test_plant_state_view():
+def test_plant_states_copy_is_independent():
     states = PlantStates(3)
     states.infect([1], 2)
-    assert states.plant(0).status is Status.SUSCEPTIBLE
-    assert states.plant(0).infected_at is None
-    assert states.plant(1).status is Status.INFECTED
-    assert states.plant(1).infected_at == 2
     clone = states.copy()
     clone.infect([0], 3)
-    assert states.plant(0).status is Status.SUSCEPTIBLE
+    assert states.status[0] == Status.SUSCEPTIBLE
+    assert states.infected_at[0] == -1
+    assert clone.status[0] == Status.INFECTED
 
 
 # -- full-season runs ---------------------------------------------------------
@@ -1485,10 +1466,10 @@ def test_full_scale_season_is_unchanged():
 
 def test_trajectory_validation():
     with pytest.raises(ValidationError):
-        EpidemicTrajectory(s_count=(4, 3), i_count=(1, 1), r_count=(0, 0), n_t=(5, 5))
+        EpidemicTrajectory(s_count=(4, 3), i_count=(1, 1), r_count=(0, 0))
     with pytest.raises(ValidationError):
-        EpidemicTrajectory(s_count=(4, 4), i_count=(1, 1), r_count=(1, 0), n_t=(5, 6))
+        EpidemicTrajectory(s_count=(4, 4), i_count=(1, 1), r_count=(1, 0))
+    with pytest.raises(ValidationError, match="R non-decreasing"):
+        EpidemicTrajectory(s_count=(4, 4), i_count=(1, 2), r_count=(1, 0))
     with pytest.raises(ValidationError):
-        EpidemicTrajectory(s_count=(4, 4), i_count=(1, 1), r_count=(0, 0), n_t=(4, 5))
-    with pytest.raises(ValidationError):
-        EpidemicTrajectory(s_count=(4, 4), i_count=(1,), r_count=(0, 0), n_t=(5, 5))
+        EpidemicTrajectory(s_count=(4, 4), i_count=(1,), r_count=(0, 0))

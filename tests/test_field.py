@@ -13,7 +13,6 @@ from fieldopt import (
     lattice_capacity,
     lattice_shape,
     layout_grid,
-    neighbors_within,
     spacing_from_count,
 )
 from fieldopt import epidemic
@@ -119,18 +118,12 @@ def test_spacing_from_count_capacity_covers_n(n):
 def test_neighbors_examples():
     grid = layout_grid(FieldSpec(2, 2), SeedingStrategy(1.0, 1.0))  # 3x3
     center = 4
-    near = neighbors_within(grid, center, 1.0)
-    assert [i for i, _ in near] == [1, 3, 5, 7]
-    assert all(d == pytest.approx(1.0) for _, d in near)
-    assert len(neighbors_within(grid, center, 1.5)) == 8
-    assert neighbors_within(grid, 0, 0.5) == []
-    assert len(neighbors_within(grid, 0, 10.0)) == 8  # radius beyond the field
-
-
-def test_neighbors_radius_validation():
-    grid = layout_grid(FieldSpec(1, 1), SeedingStrategy(0.5, 0.5))
-    with pytest.raises(ValidationError):
-        neighbors_within(grid, 0, 0.0)
+    idx, dist = grid.neighbor_arrays(center, 1.0)
+    assert idx.tolist() == [1, 3, 5, 7]
+    assert all(d == pytest.approx(1.0) for d in dist)
+    assert grid.neighbor_arrays(center, 1.5)[0].size == 8
+    assert grid.neighbor_arrays(0, 0.5)[0].size == 0
+    assert grid.neighbor_arrays(0, 10.0)[0].size == 8  # radius beyond the field
 
 
 def _brute_force(grid, index, radius):
@@ -159,7 +152,8 @@ def test_neighbors_match_brute_force(width, height, dx, dy, radius, probe):
     grid = layout_grid(field, SeedingStrategy(dx_m=dx, dy_m=dy))
     assert grid.count <= 2000
     index = probe % grid.count
-    assert neighbors_within(grid, index, radius) == _brute_force(grid, index, radius)
+    idx, dist = grid.neighbor_arrays(index, radius)
+    assert list(zip(idx.tolist(), dist.tolist())) == _brute_force(grid, index, radius)
 
 
 @settings(max_examples=60)
