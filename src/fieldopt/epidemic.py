@@ -18,8 +18,8 @@ gaps, by the float operations the per-pair path uses, and its rounds look
 the factors up: the same bits, without a hypot per pair. A round whose
 targets are at least half the lattice's nx * ny points gathers, for each
 infected plant, the factors of the whole lattice into a lattice survival,
-and then the targets from it; other rounds gather each (infected, target)
-pair's factor.
+from table rows gathered once per source row, and then the targets from
+it; other rounds gather each (infected, target) pair's factor.
 
 Any other lattice within _WINDOW_ASPECT : 1 of square gets an offset
 table instead: the factor at each (row offset, column offset), and the
@@ -241,7 +241,7 @@ class _Kernel:
     and `work`, on a lattice with either table, the two work arrays: the
     (nx, ny) lattice survival, which then takes the round's draws, and the
     nx * ny survival gathered at the targets, which the kernel table's
-    per-plant read first fills with each plant's factors; 16 B per plant.
+    row read first fills with each plant's factors; 16 B per plant.
     Kept from round to round, they cost no fresh pages; and np.empty
     touches no pages, so a lattice keeps resident only what its rounds
     write. `work` is None on a lattice with neither table."""
@@ -279,15 +279,17 @@ def _kernel(grid: PlantGrid, beta0: float, cutoff: float) -> _Kernel:
 
 # Most entries the kernel table may hold, and most entries its two index
 # maps may hold together (nx**2 + ny**2): 2 MiB of factors plus at most
-# 1 MiB of int32 indices. A lattice has about 12 * nx * ny distinct
-# pair-gap combinations, so square lattices up to about 160 x 160 plants
-# get a table, every lattice of `compare` among them (up to 121 x 121
-# plants: 413 x 413 factors, 1.4 MB); the 501 x 501 full-scale lattice is
-# ruled out by its shape alone, before any work.
+# 2 MiB of intp indices; the row read's per-call buffer, (nx, gy.size),
+# holds at most as many factors as the table, since nx <= gx.size. A
+# lattice has about 12 * nx * ny distinct pair-gap combinations, so square
+# lattices up to about 160 x 160 plants get a table, every lattice of
+# `compare` among them (up to 121 x 121 plants: 413 x 413 factors,
+# 1.4 MB); the 501 x 501 full-scale lattice is ruled out by its shape
+# alone, before any work.
 TABLE_CAP = 1 << 18
 
 # (source, target) pairs per block of gathered table indices and factors
-# in `_table_survival`: 256 KiB at 16 B each (two int32 indices and one
+# in `_table_survival`: 384 KiB at 24 B each (two intp indices and one
 # float64 factor). `_build_window` checks its gap pairs in blocks of as
 # many.
 _BLOCK = 1 << 14
@@ -295,10 +297,11 @@ _BLOCK = 1 << 14
 
 def _axis_gaps(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of |axis[b] - axis[a]|, ascending, and the
-    (len, len) int32 map from (a, b) to the index of that value."""
+    (len, len) intp map from (a, b) to the index of that value (intp, so
+    `take` reads its rows with no conversion)."""
     gaps = np.abs(axis[None, :] - axis[:, None])
     values, index = np.unique(gaps, return_inverse=True)
-    return values, index.reshape(gaps.shape).astype(np.int32)
+    return values, index.reshape(gaps.shape).astype(np.intp)
 
 
 def _pair_factors(gx, gy, beta0: float, cutoff: float) -> np.ndarray:
@@ -319,30 +322,31 @@ def _pair_factors(gx, gy, beta0: float, cutoff: float) -> np.ndarray:
 
 def _build_table(xs: np.ndarray, ys: np.ndarray, beta0: float, cutoff: float):
     """K[u, v], the factor of `_pair_factors` over the distinct x gaps
-    gx[u] and y gaps gy[v]; K[0, 0] stands for no pair and is never read."""
+    gx[u] and y gaps gy[v], with the x and y maps of `_axis_gaps`; K[0, 0]
+    stands for no pair and is never read."""
     gx, ix = _axis_gaps(xs)
     gy, iy = _axis_gaps(ys)
     if gx.size * gy.size > TABLE_CAP:
         return None
     table = _pair_factors(gx[:, None], gy[None, :], beta0, cutoff)
-    np.multiply(ix, gy.size, out=ix)
-    return table.ravel(), ix, iy
+    return table, ix, iy
 
 
 def _table_survival(kernel: _Kernel, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
     """`_survival` by lookup: for each infected plant in ascending order,
     gather every target's factor from the table and multiply it into the
     survival. A round whose targets are at least half the lattice's points
-    reads the whole lattice per plant (`_lattice_table_survival`). Other
-    rounds read blocks of at most _BLOCK (source, target) pairs, which bound
-    the gathered arrays: at most _BLOCK targets at a time, and as many
-    sources as fit; each source row is still multiplied in on its own, in
-    order."""
-    factors, ix, iy = kernel.table
+    reads the whole lattice by source row (`_lattice_table_survival`).
+    Other rounds read blocks of at most _BLOCK (source, target) pairs,
+    which bound the gathered arrays: at most _BLOCK targets at a time, and
+    as many sources as fit; each source row is still multiplied in on its
+    own, in order."""
+    table, ix, iy = kernel.table
     ny = iy.shape[0]
     n = targets.size
     if 2 * n >= ix.shape[0] * ny:
         return _lattice_table_survival(kernel, targets, infected)
+    factors = table.reshape(-1)
     target_x, target_y = np.divmod(targets, ny)
     source_x, source_y = np.divmod(infected, ny)
     survival = np.ones(n)
@@ -355,7 +359,12 @@ def _table_survival(kernel: _Kernel, targets: np.ndarray, infected: np.ndarray) 
         tx, ty = target_x[c : c + width], target_y[c : c + width]
         product = survival[c : c + width]
         for a in range(0, infected.size, rows):
-            index = ix.take(source_x[a : a + rows], axis=0).take(tx, axis=1)
+            # Each pair's flat table index. The x gap indices become row
+            # offsets while they are still one map row per source, before
+            # they spread over the targets.
+            index = ix.take(source_x[a : a + rows], axis=0)
+            index *= table.shape[1]
+            index = index.take(tx, axis=1)
             index += iy.take(source_y[a : a + rows], axis=0).take(ty, axis=1)
             for row in factors.take(index):
                 np.multiply(product, row, out=product)
@@ -363,28 +372,35 @@ def _table_survival(kernel: _Kernel, targets: np.ndarray, infected: np.ndarray) 
 
 
 def _lattice_table_survival(kernel: _Kernel, targets: np.ndarray, infected: np.ndarray) -> np.ndarray:
-    """`_table_survival` read per plant: for each infected plant (r, c) in
-    ascending order, the factors of every lattice point, gathered at
-    ix[r][:, None] + iy[c][None, :] into the second work array and
-    multiplied into the lattice survival in the first; the targets are
-    gathered from it into the second at the end. That is one gather per
-    lattice point and infected plant, against three per pair in the block
-    read, so it pays where about half the points or more are targets.
-    Every target gets the same factors in the same order, so the bits are
-    the block read's."""
-    factors, ix, iy = kernel.table
+    """`_table_survival` read by source row. The infected plants come in
+    ascending order, so row by row: for each row r that holds one, the
+    table rows of its x gaps, K[ix[r]], are gathered once into a row
+    buffer of (nx, gy.size) factors; then for each plant (r, c) of the row,
+    the buffer's columns iy[c] are gathered into the second work array,
+    which is then the factor of every lattice point, and multiplied into
+    the lattice survival in the first. The targets are gathered from it
+    into the second at the end. The buffer is allocated per call and holds
+    at most TABLE_CAP factors. That is one element gather per lattice point
+    and infected plant, plus one row gather per source row, against three
+    gathers per pair in the block read, so it pays where about half the
+    points or more are targets. Every target gets the same factors in the
+    same order, so the bits are the block read's."""
+    table, ix, iy = kernel.table
     survival, gathered = kernel.work
     nx, ny = survival.shape
     survival.fill(1.0)
-    row = gathered.reshape(nx, ny)
-    index = np.empty((nx, ny), dtype=np.intp)  # take would convert int32 each call
+    factors = gathered.reshape(nx, ny)
+    row_factors = np.empty((nx, table.shape[1]))
     source_x, source_y = np.divmod(infected, ny)
+    held = -1  # the source row whose table rows `row_factors` holds
+    # Every index is a gap index of the table, so clipping changes none; it
+    # spares the buffer mode="raise" puts `out` through.
     for r, c in zip(source_x.tolist(), source_y.tolist()):
-        np.add(ix[r][:, None], iy[c][None, :], out=index)
-        # Every index is a (gap, gap) entry of the table, so clipping
-        # changes none; it spares the buffer mode="raise" puts `out` through.
-        factors.take(index, out=row, mode="clip")
-        np.multiply(survival, row, out=survival)
+        if r != held:
+            table.take(ix[r], axis=0, out=row_factors, mode="clip")
+            held = r
+        row_factors.take(iy[c], axis=1, out=factors, mode="clip")
+        np.multiply(survival, factors, out=survival)
     # Clipped as in `_window_survival`.
     return survival.reshape(-1).take(targets, out=gathered[: targets.size], mode="clip")
 

@@ -36,11 +36,11 @@ _SNAP = 1e-9
 # per plant of work arrays, resident from one round to the next. The
 # offset table adds about 19 bytes of table per plant, and a round 8 for
 # the susceptible indices; the small-lattice kernel table keeps fewer
-# bytes per susceptible plant, plus at most 2 MiB of factors and 1 MiB of
+# bytes per susceptible plant, plus at most 2 MiB of factors and 2 MiB of
 # index maps, on lattices of at most 131,072 plants. Its two reads
-# allocate per call and keep nothing: the block read up to 256 KiB of
-# block buffers, the per-plant read an nx x ny intp index each round
-# (8 bytes per lattice point).
+# allocate per call and keep nothing: the block read up to 384 KiB of
+# block buffers, the row read a row buffer of the table rows of one
+# source row each round (nx x gy.size factors, at most 2 MiB).
 MAX_PLANTS = 20_000_000
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .analytics import _mean_std, fit_plane, paired_t_test
 from .economics import economic_series
 from .epidemic import run
-from .field import spacing_from_count
+from .field import lattice_capacity, spacing_from_count
 from .optimizer import ScoreMode, SearchMethod, compare_strategies, optimize
 from .scenario import (
     EconomicParams,
@@ -451,7 +451,24 @@ def run_optimal_comparison(spec: ExperimentSpec) -> tuple[list[dict], dict]:
     the optimal one under both placement modes. Appends one paired t-test
     row per placement computed over the per-instance mean profits (nan when
     degenerate). Writes comparison.csv; data row count = instances * 4.
+    The default arm's lattice on the smallest instance field must hold at
+    least pathogen.initial_infected plants.
     """
+    # An instance's field is drawn from the ranges, and a lattice holds no
+    # fewer plants on a larger field, so the smallest field bounds them all.
+    scenario = spec.scenario
+    width, height = spec.width_range[0], spec.height_range[0]
+    plants = lattice_capacity(
+        replace(scenario.field, width_m=width, height_m=height), scenario.strategy
+    )
+    if plants < scenario.pathogen.initial_infected:
+        raise ValidationError(
+            f"invariant violated: pathogen.initial_infected "
+            f"({scenario.pathogen.initial_infected}) <= plant count ({plants}) of the "
+            f"default strategy (dx_m={scenario.strategy.dx_m:g}, "
+            f"dy_m={scenario.strategy.dy_m:g}) on the smallest instance field, "
+            f"width_range[0] x height_range[0] = {width:g} x {height:g} m"
+        )
     outcomes = _map_jobs(
         partial(_comparison_instance, spec), range(spec.instances), spec.jobs
     )

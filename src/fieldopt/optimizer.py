@@ -184,9 +184,13 @@ def select_best(evaluations: Sequence[CandidateEvaluation]) -> CandidateEvaluati
 
 
 def _best_index(dx: np.ndarray, dy: np.ndarray, profit: np.ndarray) -> int:
-    """Index of the candidate `select_best` picks from these columns: its
-    key, least significant first, with the first index among equals."""
-    return int(np.lexsort((dy, dx, -(dx * dy), -profit))[0])
+    """Index of the candidate `select_best` picks from these columns, whose
+    profits must be finite: among the candidates of the highest profit, the
+    first index of the least key (-(dx * dy), dx, dy), as a stable sort
+    gives it."""
+    top = np.flatnonzero(profit == profit.max())
+    dx, dy = dx.take(top), dy.take(top)
+    return int(top[np.lexsort((dy, dx, -(dx * dy)))[0]])
 
 
 def evaluate_candidate(

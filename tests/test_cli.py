@@ -233,6 +233,29 @@ def test_compare_default_arm_is_the_scenarios_spacing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "settings",
+    [["pathogen.initial_infected=2000"], ["strategy.dx_m=8", "strategy.dy_m=8"]],
+    ids=["many-seeds", "sparse-default"],
+)
+def test_compare_checks_the_default_arm_on_the_smallest_field(
+    monkeypatch, capsys, tmp_path, settings
+):
+    # The scenario is valid on the 10 m desk field, but the default arm's
+    # lattice on a 5 x 5 m instance field holds fewer plants than the
+    # initial infections.
+    calls = []
+    monkeypatch.setattr(harness, "optimize", lambda *a, **k: calls.append(a))
+    sets = [arg for s in settings for arg in ("--set", s)]
+    argv = ["compare", "--instances", "2", "--reps", "2", "--delta", "1", *sets]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    for name in ("pathogen.initial_infected", "strategy", "width_range", "height_range"):
+        assert name in err
+    assert "Traceback" not in err
+    assert calls == []  # no instance ran
+
+
+@pytest.mark.parametrize(
     "values",
     [["--beta0-values", "0.003"], ["--beta0-values", "0.003", "--gamma-values", "1/42"]],
     ids=["one-beta0", "one-cell"],

@@ -770,6 +770,49 @@ def test_the_per_plant_table_read_matches_hypot_loop(case, above, sources):
         _assert_table_reads_match_loop(grid, targets, infected, case["beta0"], cutoff)
 
 
+def _row_read_sources(grid, sources, seed):
+    """Infected plants that fill the row read's buffer in different ways:
+    one whole row (the first, a middle one or the last, partial or not),
+    the last two rows, one plant per row, or a few plants of a strip."""
+    ny, count = grid.ys.size, grid.count
+    rows = np.arange(count) // ny
+    last = rows[-1]
+    pick = np.random.default_rng(seed)
+    if sources == "one-row":
+        return np.flatnonzero(rows == seed * last // 2)
+    if sources == "two-rows":
+        return np.flatnonzero(rows >= last - 1)
+    if sources == "one-per-row":
+        return np.unique(np.minimum(np.arange(last + 1) * ny + pick.integers(0, ny, last + 1),
+                                    count - 1))
+    return np.sort(pick.choice(count, size=min(5, count // 2), replace=False))
+
+
+@pytest.mark.parametrize(
+    "width, height, explicit_count, sources",
+    [
+        (4.0, 4.0, None, "one-row"),  # 21 x 21
+        (4.0, 4.0, None, "two-rows"),
+        (3.0, 2.0, 170, "one-row"),  # 16 x 11 points, a last row of 5 plants
+        (3.0, 2.0, 170, "two-rows"),  # the last full row and the partial one
+        (4.0, 4.0, None, "one-per-row"),
+        (3.0, 2.0, 170, "one-per-row"),
+        (0.1, 4.0, None, "strip"),  # 1 x 21: one x gap, every plant in one row
+        (4.0, 0.1, None, "strip"),  # 21 x 1: one y gap, one plant per row
+    ],
+)
+@pytest.mark.parametrize("beta0, cutoff", [(0.6, math.inf), (0.003, 0.5), (0.002, 1.0)])
+def test_the_row_read_matches_hypot_loop(width, height, explicit_count, sources, beta0, cutoff):
+    grid = layout_grid(FieldSpec(width, height), SeedingStrategy(0.2, 0.2), explicit_count)
+    if sources == "strip":
+        assert 1 in (grid.xs.size, grid.ys.size)
+    for seed in range(3):
+        infected = _row_read_sources(grid, sources, seed)
+        targets = np.setdiff1d(np.arange(grid.count), infected)
+        # Every other plant is a target, so the round reads by source row.
+        assert _assert_table_reads_match_loop(grid, targets, infected, beta0, cutoff)
+
+
 @pytest.mark.parametrize("mode", list(PlacementMode))
 def test_seasons_are_the_same_with_both_table_reads(mode):
     # 21 x 21 plants: the first rounds have most plants as targets and read
